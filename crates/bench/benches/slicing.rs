@@ -10,28 +10,31 @@
 //!   CSR freeze on top;
 //! * **per-slicer query time** — for each of the four slicer variants
 //!   (thin, traditional-data, traditional-full, context-sensitive thin):
-//!   - `seq`: the pre-existing single-query entry points over the growable
-//!     `Sdg` (fresh allocations per query; the tabulation rebuilds its
-//!     down-edge index per query),
-//!   - `csr`: a single query over the frozen CSR graph (fresh scratch),
-//!   - `batch`: `thinslice::batch` over the shared frozen graph with
-//!     per-worker scratch reuse and a shared tabulation index;
+//!   - `seq`: the reference slicers (`slice_from`, `cs_slice`) over the
+//!     growable `Sdg` (fresh allocations per query; the tabulation
+//!     rebuilds its down-edge index per query),
+//!   - `csr`: the same reference slicers over the frozen CSR graph,
+//!   - `batch`: `AnalysisSession::query_batch` over the session's frozen
+//!     graph with per-worker scratch reuse and a shared tabulation index;
 //! * **throughput** — slices/sec for `seq` vs `batch`.
 //!
 //! Every batched result is asserted equal to its sequential counterpart
 //! before any number is reported. Results go to stdout as a table and to
 //! `BENCH_slicing.json` at the repository root as machine-readable JSON.
 //!
-//! The `seq` and `csr` variants intentionally time the legacy (now
-//! deprecated) per-query wrappers: they are the fixed reference points the
-//! batch speedups and the CI bench guard are measured against.
-#![allow(deprecated)]
+//! The `seq` and `csr` variants intentionally time the reference slicers:
+//! they are the fixed points the batch speedups and the CI bench guard are
+//! measured against.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::time::Instant;
-use thinslice::{batch, cs_slice, slice_from, Analysis, CsSlice, Slice, SliceKind};
-use thinslice_pta::PtaConfig;
-use thinslice_sdg::{DepGraph, FrozenSdg, NodeId, Sdg};
+use thinslice::{
+    cs_slice, slice_from, AnalysisSession, Engine, Query, QueryOutcome, RunCtx, SliceKind, StmtSet,
+};
+use thinslice_ir::StmtRef;
+use thinslice_pta::{ModRef, PtaConfig};
+use thinslice_sdg::{build_cs, DepGraph, NodeId};
 use thinslice_suite::{
     all_bug_tasks, benchmark_named, generate, line_with, Benchmark, GeneratorConfig,
 };
@@ -125,21 +128,26 @@ fn time_interleaved(mut fs: Vec<Box<dyn FnMut() + '_>>, n_rounds: usize) -> Vec<
     rounds.iter().map(Histogram::median).collect()
 }
 
-fn stmt_sets(slices: &[Slice]) -> Vec<thinslice::StmtSet> {
-    slices.iter().map(|s| s.stmts.clone()).collect()
+/// Statement sets of a session batch, in query order (no faults are
+/// injected, so every query answers).
+fn batch_stmts(outcomes: Vec<QueryOutcome>) -> Vec<StmtSet> {
+    outcomes
+        .into_iter()
+        .map(|o| o.slice.expect("no faults injected").stmts)
+        .collect()
 }
 
-fn cs_stmt_counts(slices: &[CsSlice]) -> Vec<usize> {
-    slices.iter().map(CsSlice::len).collect()
+/// One reference-slicer answer: BFS for the CI engine, hash-store
+/// tabulation for the CS engine.
+fn reference<G: DepGraph>(engine: Engine, graph: &G, seeds: &[NodeId], kind: SliceKind) -> StmtSet {
+    match engine {
+        Engine::Ci => slice_from(graph, seeds, kind).stmts,
+        Engine::Cs => cs_slice(graph, seeds, kind).stmts,
+    }
 }
 
-/// The Table 2 seed queries of one benchmark, node-resolved against the
-/// given graph.
-fn table2_queries<G: DepGraph>(
-    b: &Benchmark,
-    a: &Analysis,
-    graph: &G,
-) -> Vec<Vec<thinslice_sdg::NodeId>> {
+/// The Table 2 seed statements of one benchmark, one query per task.
+fn table2_seeds(b: &Benchmark, s: &AnalysisSession) -> Vec<Vec<StmtRef>> {
     all_bug_tasks()
         .iter()
         .filter(|t| t.benchmark == b.name)
@@ -149,12 +157,27 @@ fn table2_queries<G: DepGraph>(
                 .iter()
                 .find(|(f, _)| *f == t.seed.file)
                 .expect("seed file");
-            let line = line_with(src.1, t.seed.snippet);
-            a.stmts_at_line(t.seed.file, line)
-                .into_iter()
-                .flat_map(|s| graph.stmt_nodes_of(s).to_vec())
+            s.stmts_at_line(t.seed.file, line_with(src.1, t.seed.snippet))
+        })
+        .collect()
+}
+
+/// Statement-level seeds resolved to node-level ones against `graph`.
+fn node_queries<G: DepGraph>(graph: &G, seeds: &[Vec<StmtRef>]) -> Vec<Vec<NodeId>> {
+    seeds
+        .iter()
+        .map(|ss| {
+            ss.iter()
+                .flat_map(|&s| graph.stmt_nodes_of(s).to_vec())
                 .collect()
         })
+        .collect()
+}
+
+fn session_queries(seeds: &[Vec<StmtRef>], kind: SliceKind, engine: Engine) -> Vec<Query> {
+    seeds
+        .iter()
+        .map(|ss| Query::new(ss.clone(), kind, engine))
         .collect()
 }
 
@@ -162,102 +185,72 @@ fn run_benchmark(name: &str, threads: usize) -> BenchResult {
     let b = benchmark_named(name).expect("benchmark exists");
 
     let t0 = Instant::now();
-    let a = b.analyze(PtaConfig::default());
+    let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+    s.ci_sdg();
     let build_ms = t0.elapsed().as_secs_f64() * 1000.0;
     let t1 = Instant::now();
-    let frozen = a.sdg.freeze();
+    s.ci_graph();
     let freeze_ms = t1.elapsed().as_secs_f64() * 1000.0;
 
-    let cs_sdg = a.build_cs_sdg();
-    let cs_frozen = cs_sdg.freeze();
+    // The reference rows slice copies of the session's graphs. The
+    // session keeps its heap-parameter graph only in frozen form, so the
+    // growable one is built here, as the session builds it.
+    let sdg = s.ci_sdg().clone();
+    let frozen = s.ci_graph().clone();
+    let program = s.program().clone();
+    let cs_sdg = {
+        let pta = s.pta();
+        build_cs(&program, pta, &ModRef::compute(&program, pta))
+    };
+    let cs_frozen = s.cs_graph().clone();
+    let seeds = table2_seeds(&b, &s);
 
     let mut slicers = Vec::new();
     for slicer in Slicer::ALL {
-        let (graph, graph_frozen): (&Sdg, &FrozenSdg) = match slicer {
-            Slicer::CsThin => (&cs_sdg, &cs_frozen),
-            _ => (&a.sdg, &frozen),
+        let kind = slicer.kind();
+        let engine = match slicer {
+            Slicer::CsThin => Engine::Cs,
+            _ => Engine::Ci,
         };
-        let queries = table2_queries(&b, &a, graph);
+        let (graph, graph_frozen) = match engine {
+            Engine::Ci => (&sdg, &frozen),
+            Engine::Cs => (&cs_sdg, &cs_frozen),
+        };
+        let queries = node_queries(graph, &seeds);
         let n = queries.len();
         if n == 0 {
             continue;
         }
-        let kind = slicer.kind();
-
-        let result = match slicer {
-            Slicer::CsThin => {
-                let seq: Vec<CsSlice> = queries.iter().map(|q| cs_slice(graph, q, kind)).collect();
-                let batched = batch::cs_slices(graph_frozen, &queries, kind, threads);
-                assert_eq!(
-                    cs_stmt_counts(&seq),
-                    cs_stmt_counts(&batched),
-                    "{name}/{}: batch must equal sequential",
-                    slicer.name()
-                );
-                for (s, bt) in seq.iter().zip(&batched) {
-                    assert_eq!(s.stmts, bt.stmts);
-                }
-                let t = time_interleaved(
-                    vec![
-                        Box::new(|| {
-                            for q in &queries {
-                                std::hint::black_box(cs_slice(graph, q, kind));
-                            }
-                        }),
-                        Box::new(|| {
-                            for q in &queries {
-                                std::hint::black_box(cs_slice(graph_frozen, q, kind));
-                            }
-                        }),
-                        Box::new(|| {
-                            std::hint::black_box(batch::cs_slices(
-                                graph_frozen,
-                                &queries,
-                                kind,
-                                threads,
-                            ));
-                        }),
-                    ],
-                    ROUNDS,
-                );
-                (t[0], t[1], t[2])
-            }
-            _ => {
-                let seq: Vec<Slice> = queries.iter().map(|q| slice_from(graph, q, kind)).collect();
-                let batched = batch::slices(graph_frozen, &queries, kind, threads);
-                assert_eq!(
-                    stmt_sets(&seq),
-                    stmt_sets(&batched),
-                    "{name}/{}: batch must equal sequential (BFS order included)",
-                    slicer.name()
-                );
-                let t = time_interleaved(
-                    vec![
-                        Box::new(|| {
-                            for q in &queries {
-                                std::hint::black_box(slice_from(graph, q, kind));
-                            }
-                        }),
-                        Box::new(|| {
-                            for q in &queries {
-                                std::hint::black_box(slice_from(graph_frozen, q, kind));
-                            }
-                        }),
-                        Box::new(|| {
-                            std::hint::black_box(batch::slices(
-                                graph_frozen,
-                                &queries,
-                                kind,
-                                threads,
-                            ));
-                        }),
-                    ],
-                    ROUNDS,
-                );
-                (t[0], t[1], t[2])
-            }
-        };
-        let (seq_total_s, csr_total_s, batch_total_s) = result;
+        let batch_queries = session_queries(&seeds, kind, engine);
+        let seq: Vec<StmtSet> = queries
+            .iter()
+            .map(|q| reference(engine, graph, q, kind))
+            .collect();
+        assert_eq!(
+            seq,
+            batch_stmts(s.query_batch(&batch_queries, threads)),
+            "{name}/{}: batch must equal sequential (BFS order included)",
+            slicer.name()
+        );
+        let t = time_interleaved(
+            vec![
+                Box::new(|| {
+                    for q in &queries {
+                        std::hint::black_box(reference(engine, graph, q, kind));
+                    }
+                }),
+                Box::new(|| {
+                    for q in &queries {
+                        std::hint::black_box(reference(engine, graph_frozen, q, kind));
+                    }
+                }),
+                Box::new(|| {
+                    std::hint::black_box(s.query_batch(&batch_queries, threads));
+                }),
+            ],
+            ROUNDS,
+        );
+        let (seq_total_s, csr_total_s, batch_total_s) = (t[0], t[1], t[2]);
         slicers.push(SlicerResult {
             slicer,
             queries: n,
@@ -279,12 +272,12 @@ fn run_benchmark(name: &str, threads: usize) -> BenchResult {
     }
 }
 
-/// One benchmark's graphs and queries kept alive for the thread matrix.
+/// One benchmark's session and Table 2 queries kept alive for the thread
+/// matrix: every slicer's queries in one heterogeneous batch, which the
+/// session groups by engine and kind.
 struct MatrixBench {
-    ci_frozen: FrozenSdg,
-    ci_queries: Vec<Vec<NodeId>>,
-    cs_frozen: FrozenSdg,
-    cs_queries: Vec<Vec<NodeId>>,
+    session: AnalysisSession,
+    queries: Vec<Query>,
 }
 
 /// Builds the full Table 2 workload once (all benchmarks, CI and CS
@@ -295,61 +288,55 @@ fn matrix_workload(names: &[&'static str]) -> (Vec<MatrixBench>, usize) {
     let mut queries = 0;
     for name in names {
         let b = benchmark_named(name).expect("benchmark exists");
-        let a = b.analyze(PtaConfig::default());
-        let cs_sdg = a.build_cs_sdg();
-        let ci_queries = table2_queries(&b, &a, &a.sdg);
-        let cs_queries = table2_queries(&b, &a, &cs_sdg);
+        let mut session = b.session(PtaConfig::default(), RunCtx::disabled());
+        // Both graphs are built here, not inside the first timed batch.
+        session.ci_graph();
+        session.cs_graph();
+        let seeds = table2_seeds(&b, &session);
+        let mut bench_queries = Vec::new();
         // The CI graph serves three slicer kinds, the CS graph one.
-        queries += 3 * ci_queries.len() + cs_queries.len();
+        for kind in [
+            SliceKind::Thin,
+            SliceKind::TraditionalData,
+            SliceKind::TraditionalFull,
+        ] {
+            bench_queries.extend(session_queries(&seeds, kind, Engine::Ci));
+        }
+        bench_queries.extend(session_queries(&seeds, SliceKind::Thin, Engine::Cs));
+        queries += bench_queries.len();
         benches.push(MatrixBench {
-            ci_frozen: a.sdg.freeze(),
-            ci_queries,
-            cs_frozen: cs_sdg.freeze(),
-            cs_queries,
+            session,
+            queries: bench_queries,
         });
     }
     (benches, queries)
 }
 
 /// Runs every slicer's batch over every benchmark at `threads`.
-fn run_matrix_batches(benches: &[MatrixBench], threads: usize) -> (Vec<Slice>, Vec<CsSlice>) {
-    let mut ci = Vec::new();
-    let mut cs = Vec::new();
+fn run_matrix_batches(benches: &mut [MatrixBench], threads: usize) -> Vec<StmtSet> {
+    let mut out = Vec::new();
     for b in benches {
-        for kind in [
-            SliceKind::Thin,
-            SliceKind::TraditionalData,
-            SliceKind::TraditionalFull,
-        ] {
-            ci.extend(batch::slices(&b.ci_frozen, &b.ci_queries, kind, threads));
-        }
-        cs.extend(batch::cs_slices(
-            &b.cs_frozen,
-            &b.cs_queries,
-            SliceKind::Thin,
-            threads,
-        ));
+        out.extend(batch_stmts(b.session.query_batch(&b.queries, threads)));
     }
-    (ci, cs)
+    out
 }
 
 /// Batch throughput of the Table 2 workload at each thread count, with
 /// every thread count's results asserted bit-identical to single-threaded.
-fn thread_matrix(benches: &[MatrixBench], queries: usize) -> Vec<(usize, f64)> {
-    let (base_ci, base_cs) = run_matrix_batches(benches, 1);
+fn thread_matrix(benches: &mut [MatrixBench], queries: usize) -> Vec<(usize, f64)> {
+    let base = run_matrix_batches(benches, 1);
     for &t in &THREAD_COUNTS[1..] {
-        let (ci, cs) = run_matrix_batches(benches, t);
-        assert_eq!(stmt_sets(&base_ci), stmt_sets(&ci), "threads={t}");
-        for (a, b) in base_cs.iter().zip(&cs) {
-            assert_eq!(a.stmts, b.stmts, "threads={t}");
-        }
+        assert_eq!(base, run_matrix_batches(benches, t), "threads={t}");
     }
+    // Every configuration batches on the same sessions.
+    let benches = RefCell::new(benches);
     let totals = time_interleaved(
         THREAD_COUNTS
             .iter()
             .map(|&t| {
+                let benches = &benches;
                 Box::new(move || {
-                    std::hint::black_box(run_matrix_batches(benches, t));
+                    std::hint::black_box(run_matrix_batches(&mut benches.borrow_mut(), t));
                 }) as Box<dyn FnMut()>
             })
             .collect(),
@@ -375,50 +362,47 @@ struct SyntheticResult {
 /// [`SYNTHETIC_QUERIES`] thin-slice queries over the frozen CI graph.
 fn run_synthetic() -> SyntheticResult {
     let src = generate(&GeneratorConfig::scaled(2));
-    let a = Analysis::build(&[("gen.mj", &src)]).expect("generated program compiles");
-    let frozen = &a.csr;
-    let seeds: Vec<Vec<NodeId>> = a
-        .program
-        .all_stmts()
-        .filter_map(|s| {
-            let nodes = frozen.stmt_nodes_of(s);
-            if nodes.is_empty() {
-                None
-            } else {
-                Some(nodes.to_vec())
-            }
-        })
+    let mut session =
+        AnalysisSession::new(&[("gen.mj", &src)]).expect("generated program compiles");
+    let stmts: Vec<StmtRef> = session.program().all_stmts().collect();
+    let frozen = session.ci_graph();
+    let (nodes, edges) = (frozen.node_count(), frozen.edge_count());
+    let seeds: Vec<StmtRef> = stmts
+        .into_iter()
+        .filter(|&s| !frozen.stmt_nodes_of(s).is_empty())
         .collect();
     assert!(!seeds.is_empty());
-    let queries: Vec<Vec<NodeId>> = seeds
+    let queries: Vec<Query> = seeds
         .iter()
         .cycle()
         .take(SYNTHETIC_QUERIES)
-        .cloned()
+        .map(|&s| Query::new(vec![s], SliceKind::Thin, Engine::Ci))
         .collect();
 
     // Determinism across the matrix before anything is timed.
-    let base = batch::slices(frozen, &queries, SliceKind::Thin, 1);
+    let base = batch_stmts(session.query_batch(&queries, 1));
     for &t in &THREAD_COUNTS[1..] {
-        let got = batch::slices(frozen, &queries, SliceKind::Thin, t);
-        assert_eq!(stmt_sets(&base), stmt_sets(&got), "synthetic threads={t}");
+        let got = batch_stmts(session.query_batch(&queries, t));
+        assert_eq!(base, got, "synthetic threads={t}");
     }
 
+    // Every configuration batches on the same session.
+    let session = RefCell::new(session);
     let totals = time_interleaved(
         THREAD_COUNTS
             .iter()
             .map(|&t| {
-                let queries = &queries;
+                let (session, queries) = (&session, &queries);
                 Box::new(move || {
-                    std::hint::black_box(batch::slices(frozen, queries, SliceKind::Thin, t));
+                    std::hint::black_box(session.borrow_mut().query_batch(queries, t));
                 }) as Box<dyn FnMut()>
             })
             .collect(),
         MATRIX_ROUNDS,
     );
     SyntheticResult {
-        nodes: frozen.node_count(),
-        edges: frozen.edge_count(),
+        nodes,
+        edges,
         queries: SYNTHETIC_QUERIES,
         rows: THREAD_COUNTS
             .iter()
@@ -1010,8 +994,8 @@ fn main() {
     }
 
     eprintln!("thread matrix (table2 workload) …");
-    let (benches, matrix_queries) = matrix_workload(&names);
-    let matrix = thread_matrix(&benches, matrix_queries);
+    let (mut benches, matrix_queries) = matrix_workload(&names);
+    let matrix = thread_matrix(&mut benches, matrix_queries);
     eprintln!("synthetic workload ({SYNTHETIC_QUERIES} seeds) …");
     let synthetic = run_synthetic();
     for (&(t, table2_tput), &(_, syn_tput)) in matrix.iter().zip(&synthetic.rows) {

@@ -8,7 +8,7 @@
 //!   *inspected* statement count (the paper's nanoxml-1: 8067→381 full but
 //!   only 32→26 inspected).
 
-use thinslice::{Engine, Query, RunCtx, SliceKind};
+use thinslice::{simulate_inspection, Engine, Query, RunCtx, SliceKind};
 use thinslice_pta::PtaConfig;
 use thinslice_suite::GeneratorConfig;
 
@@ -32,17 +32,15 @@ fn main() {
     println!();
     println!("Context sensitivity: full slice vs inspected statements (nanoxml-1)");
     let b = thinslice_suite::benchmark_named("nanoxml").unwrap();
-    let a = b.analyze(PtaConfig::default());
     let task = thinslice_suite::all_bug_tasks()
         .into_iter()
         .find(|t| t.id == "nanoxml-1")
         .unwrap();
-    let resolved = task.resolve(&b, &a);
-
     // Both slicers answer through the session's unified query path; the
     // context-sensitive engine runs on the heap-parameter graph, as in the
     // paper's §5.3.
     let mut session = b.session(PtaConfig::default(), RunCtx::disabled());
+    let resolved = task.resolve(&b, &mut session);
     let ci = session.query(&Query::new(
         resolved.seeds.clone(),
         SliceKind::TraditionalData,
@@ -53,7 +51,13 @@ fn main() {
         SliceKind::TraditionalData,
         Engine::Cs,
     ));
-    let inspected = a.inspect(&resolved, SliceKind::TraditionalData);
+    let program = session.program().clone();
+    let inspected = simulate_inspection(
+        &program,
+        session.ci_graph(),
+        &resolved,
+        SliceKind::TraditionalData,
+    );
     println!(
         "  full traditional slice: context-insensitive = {} stmts, context-sensitive = {} stmts",
         ci.len(),

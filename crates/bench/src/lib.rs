@@ -15,7 +15,7 @@
 //! shared by those binaries, so the logic is unit-testable.
 
 use std::time::{Duration, Instant};
-use thinslice::{Analysis, SliceKind};
+use thinslice::{AnalysisSession, RunCtx, SliceKind};
 use thinslice_pta::{ModRef, ProgramStats, PtaConfig};
 use thinslice_sdg::SdgStats;
 use thinslice_suite::{run_task, Benchmark, Task, TaskResult};
@@ -39,12 +39,14 @@ pub fn table1_rows() -> Vec<Table1Row> {
         .into_iter()
         .map(|b| {
             let start = Instant::now();
-            let a = b.analyze(PtaConfig::default());
+            let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+            let sdg = SdgStats::compute(s.ci_sdg());
             let analysis_time = start.elapsed();
+            let program = s.program().clone();
             Table1Row {
                 name: b.name.to_string(),
-                stats: ProgramStats::compute(&a.program, &a.pta),
-                sdg: SdgStats::compute(&a.sdg),
+                stats: ProgramStats::compute(&program, s.pta()),
+                sdg,
                 analysis_time,
             }
         })
@@ -78,11 +80,11 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
     out
 }
 
-/// Computes the rows for Table 2 or Table 3 from a task list, grouping the
-/// (expensive) analyses per benchmark.
+/// Computes the rows for Table 2 or Table 3 from a task list, sharing one
+/// pair of sessions per benchmark.
 pub fn run_tasks(tasks: &[Task]) -> Vec<TaskResult> {
     let mut rows = Vec::new();
-    let mut current: Option<(Benchmark, Analysis, Analysis)> = None;
+    let mut current: Option<(Benchmark, AnalysisSession, AnalysisSession)> = None;
     for task in tasks {
         let needs_new = current
             .as_ref()
@@ -91,11 +93,11 @@ pub fn run_tasks(tasks: &[Task]) -> Vec<TaskResult> {
         if needs_new {
             let b = thinslice_suite::benchmark_named(task.benchmark)
                 .unwrap_or_else(|| panic!("unknown benchmark {}", task.benchmark));
-            let precise = b.analyze(PtaConfig::default());
-            let noobjsens = b.analyze(PtaConfig::without_object_sensitivity());
+            let precise = b.session(PtaConfig::default(), RunCtx::disabled());
+            let noobjsens = b.session(PtaConfig::without_object_sensitivity(), RunCtx::disabled());
             current = Some((b, precise, noobjsens));
         }
-        let (b, precise, noobjsens) = current.as_ref().unwrap();
+        let (b, precise, noobjsens) = current.as_mut().unwrap();
         rows.push(run_task(b, task, precise, noobjsens));
     }
     rows
@@ -226,10 +228,9 @@ pub fn measure_scalability(label: &str, sources: &[(&str, &str)]) -> Scalability
     let t2 = Instant::now();
     let mut slices = 0usize;
     for &seed in &seeds {
-        // Deliberately times the legacy sparse-graph slicer: this row
-        // isolates raw BFS cost over the growable `Sdg`, without the
-        // session's freeze step.
-        #[allow(deprecated)]
+        // Deliberately times the reference slicer: this row isolates raw
+        // BFS cost over the growable `Sdg`, without the session's freeze
+        // step.
         let _ = thinslice::slice_from(&sdg, &[seed], SliceKind::Thin);
         slices += 1;
     }

@@ -1178,11 +1178,16 @@ fn cmd_slice(o: &Options, ctx: &RunCtx) -> Result<(), String> {
 fn cmd_explain(o: &Options, ctx: &RunCtx) -> Result<(), String> {
     let mut s = load(o, ctx)?;
     let seeds = resolve_seed(&mut s, o)?;
-    let a = s.into_analysis();
+    let thin = s.query(&Query::new(seeds.clone(), SliceKind::Thin, Engine::Ci));
+    // The stage accessors build lazily through `&mut self`, so the program
+    // and graph are copied out to sit beside the points-to result.
+    let program = s.program().clone();
+    let sdg = s.ci_sdg().clone();
+    let pta = s.pta();
     // Control dependences of the seed.
     let mut ctrl = Vec::new();
     for &st in &seeds {
-        for c in thinslice::expand::exposed_control_deps(&a.sdg, st) {
+        for c in thinslice::expand::exposed_control_deps(&sdg, st) {
             if !ctrl.contains(&c) {
                 ctrl.push(c);
             }
@@ -1193,24 +1198,23 @@ fn cmd_explain(o: &Options, ctx: &RunCtx) -> Result<(), String> {
         println!("  (none — the seed is unconditionally executed)");
     }
     for c in &ctrl {
-        println!("  {}", pretty::stmt_str(&a.program, *c));
+        println!("  {}", pretty::stmt_str(&program, *c));
     }
     // Heap-flow pairs of the thin slice and their aliasing explanations.
-    let thin = a.thin_slice(&seeds);
-    let pairs = thinslice::expand::heap_flow_pairs(&a.program, &a.sdg, &thin);
+    let pairs = thinslice::expand::heap_flow_pairs(&program, &sdg, &thin.stmts);
     println!("\nheap-based value flow in the thin slice (paper 4.1):");
     if pairs.is_empty() {
         println!("  (none — the value never travels through the heap)");
     }
     for (load, store) in pairs {
-        println!("  load : {}", pretty::stmt_str(&a.program, load));
-        println!("  store: {}", pretty::stmt_str(&a.program, store));
-        match thinslice::explain_aliasing_ctx(&a.program, &a.pta, &a.sdg, load, store, ctx) {
+        println!("  load : {}", pretty::stmt_str(&program, load));
+        println!("  store: {}", pretty::stmt_str(&program, store));
+        match thinslice::explain_aliasing_ctx(&program, pta, &sdg, load, store, ctx) {
             Ok(e) => {
                 let e = e.result;
                 println!("  common objects: {}", e.common_objects.len());
                 for st in e.statements() {
-                    println!("    {}", pretty::stmt_str(&a.program, st));
+                    println!("    {}", pretty::stmt_str(&program, st));
                 }
             }
             Err(err) => println!("  (no explanation: {err})"),
@@ -1221,13 +1225,14 @@ fn cmd_explain(o: &Options, ctx: &RunCtx) -> Result<(), String> {
 }
 
 fn cmd_run(o: &Options, ctx: &RunCtx) -> Result<(), String> {
-    let a = load(o, ctx)?.into_analysis();
+    let s = load(o, ctx)?;
+    let program = s.program();
     let config = ExecConfig {
         lines: o.lines.clone(),
         ints: o.ints.clone(),
         ..ExecConfig::default()
     };
-    let exec = interp_run(&a.program, &config, ctx);
+    let exec = interp_run(program, &config, ctx);
     for (_, text) in &exec.prints {
         println!("{text}");
     }
@@ -1246,7 +1251,7 @@ fn cmd_run(o: &Options, ctx: &RunCtx) -> Result<(), String> {
             let mut stmts: Vec<_> = slice.stmts.iter().copied().collect();
             stmts.sort();
             for st in stmts {
-                println!("  {}", pretty::stmt_str(&a.program, st));
+                println!("  {}", pretty::stmt_str(program, st));
             }
         } else {
             println!("(nothing printed — no dynamic slice)");
@@ -1256,9 +1261,10 @@ fn cmd_run(o: &Options, ctx: &RunCtx) -> Result<(), String> {
 }
 
 fn cmd_info(o: &Options, ctx: &RunCtx) -> Result<(), String> {
-    let a = load(o, ctx)?.into_analysis();
-    let stats = thinslice_pta::ProgramStats::compute(&a.program, &a.pta);
-    let sdg_stats = thinslice_sdg::SdgStats::compute(&a.sdg);
+    let mut s = load(o, ctx)?;
+    let sdg_stats = thinslice_sdg::SdgStats::compute(s.ci_sdg());
+    let program = s.program().clone();
+    let stats = thinslice_pta::ProgramStats::compute(&program, s.pta());
     println!("classes:               {}", stats.classes);
     println!("reachable methods:     {}", stats.methods);
     println!("call-graph nodes:      {}", stats.cg_nodes);

@@ -23,19 +23,23 @@
 //! # Examples
 //!
 //! ```
-//! use thinslice::{batch, Analysis, SliceKind};
+//! use thinslice::{AnalysisSession, Engine, Query, SliceKind};
 //!
-//! let analysis = Analysis::build(&[(
+//! let mut session = AnalysisSession::new(&[(
 //!     "t.mj",
 //!     "class Main { static void main() {\nint x = 1;\nprint(x);\nprint(2);\n} }",
 //! )])?;
-//! let seeds = vec![
-//!     analysis.seed_at_line("t.mj", 3).unwrap(),
-//!     analysis.seed_at_line("t.mj", 4).unwrap(),
-//! ];
-//! let slices = analysis.batch_slices(&seeds, SliceKind::Thin, 2);
-//! assert_eq!(slices.len(), 2);
-//! assert_eq!(slices[0].stmt_set(), analysis.thin_slice(&seeds[0]).stmt_set());
+//! let queries: Vec<Query> = [3, 4]
+//!     .iter()
+//!     .map(|&line| {
+//!         let seeds = session.seed_at_line("t.mj", line).unwrap();
+//!         Query::new(seeds, SliceKind::Thin, Engine::Ci)
+//!     })
+//!     .collect();
+//! let batch = session.query_batch(&queries, 2);
+//! assert_eq!(batch.len(), 2);
+//! let first = batch[0].slice.as_ref().unwrap();
+//! assert_eq!(first.stmts, session.query(&queries[0]).stmts);
 //! # Ok::<(), thinslice_ir::CompileError>(())
 //! ```
 //!
@@ -327,10 +331,6 @@ impl std::fmt::Display for QueryError {
 }
 
 impl std::error::Error for QueryError {}
-
-/// The pre-0.4 name for a governed batch's per-query slice result.
-#[deprecated(since = "0.4.0", note = "use `SliceResult` instead")]
-pub type GovernedSlice = SliceResult;
 
 /// One query's outcome in a batch.
 #[derive(Debug, Clone)]
@@ -624,128 +624,19 @@ pub(crate) fn run_batch(
     }
 }
 
-// ---- pre-0.4 entrypoints, kept as thin wrappers ----
-
-/// Computes one backward slice per query, in query order.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn slices(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-) -> Vec<Slice> {
-    ci_plain(graph, queries, kind, threads, &Telemetry::disabled())
-}
-
-/// [`slices`] recording batch telemetry: a `batch.slices` span, a per-query
-/// latency histogram (`batch.query_us`) and post-hoc traversal counters.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn slices_telemetry(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    tel: &Telemetry,
-) -> Vec<Slice> {
-    ci_plain(graph, queries, kind, threads, tel)
-}
-
-/// Computes one context-sensitive (tabulation) slice per query, in query
-/// order.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn cs_slices(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-) -> Vec<CsSlice> {
-    cs_plain(graph, queries, kind, threads, &Telemetry::disabled())
-}
-
-/// [`cs_slices`] recording batch telemetry: a `batch.cs_slices` span, the
-/// `batch.query_us` latency histogram, traversal counters and the
-/// tabulation's exit-region memo hit/miss + summary-edge counters.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn cs_slices_telemetry(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    tel: &Telemetry,
-) -> Vec<CsSlice> {
-    cs_plain(graph, queries, kind, threads, tel)
-}
-
-/// The CI batch under a [`BatchConfig`]: per-query budgets, panic
-/// isolation with bounded retry, and per-query latency/retry reporting.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn governed_slices(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    cfg: &BatchConfig,
-) -> Vec<QueryOutcome> {
-    ci_guarded(graph, queries, kind, threads, cfg)
-}
-
-/// The CS batch under a [`BatchConfig`], with the CS → CI degradation
-/// ladder.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query_batch` instead")]
-pub fn governed_cs_slices(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    cfg: &BatchConfig,
-) -> Vec<QueryOutcome> {
-    cs_guarded(graph, queries, kind, threads, cfg)
-}
-
-/// Resolves statement-level queries to node-level ones against `graph`.
-pub fn node_queries(graph: &FrozenSdg, queries: &[Vec<thinslice_ir::StmtRef>]) -> Vec<Vec<NodeId>> {
-    queries
-        .iter()
-        .map(|ss| {
-            ss.iter()
-                .flat_map(|&s| graph.stmt_nodes_of(s).to_vec())
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::slice_sparse;
-    use crate::Analysis;
+    use crate::{cs_slice, slice_from};
+    use thinslice_ir::{compile, InstrKind};
+    use thinslice_pta::{Pta, PtaConfig};
+    use thinslice_sdg::{build_ci, Sdg};
 
-    /// Sequential oracle: the historical one-shot CI slice.
-    fn slice_from(sdg: &thinslice_sdg::Sdg, seeds: &[NodeId], kind: SliceKind) -> Slice {
-        slice_sparse(
-            sdg,
-            seeds,
-            kind,
-            &mut SliceScratch::new(),
-            &mut Meter::unlimited(),
-        )
-        .0
-    }
-
-    /// Sequential oracle: the historical one-shot CS slice.
-    fn cs_slice(sdg: &thinslice_sdg::Sdg, seeds: &[NodeId], kind: SliceKind) -> CsSlice {
-        cs_oneshot(
-            sdg,
-            &DownConsumers::build(sdg),
-            seeds,
-            kind,
-            &mut Meter::unlimited(),
-        )
-        .0
-    }
-
-    fn setup() -> Analysis {
-        Analysis::build(&[(
+    /// A small program's CI graph, growable (for the reference slicers)
+    /// and frozen (for the batch engine), plus one node-level query per
+    /// reachable print.
+    fn setup() -> (Sdg, FrozenSdg, Vec<Vec<NodeId>>) {
+        let p = compile(&[(
             "t.mj",
             "class Box { Object item;
                 void fill(Object o) { this.item = o; }
@@ -762,41 +653,32 @@ mod tests {
                 print(y);
              } }",
         )])
-        .unwrap()
-    }
-
-    fn all_print_queries(a: &Analysis) -> Vec<Vec<NodeId>> {
-        use thinslice_ir::InstrKind;
-        a.program
+        .unwrap();
+        let pta = Pta::analyze(&p, PtaConfig::default());
+        let sdg = build_ci(&p, &pta);
+        let csr = sdg.freeze();
+        let queries = p
             .all_stmts()
-            .filter(|s| matches!(a.program.instr(*s).kind, InstrKind::Print { .. }))
-            .filter_map(|s| {
-                let nodes = a.csr.stmt_nodes_of(s).to_vec();
-                if nodes.is_empty() {
-                    None
-                } else {
-                    Some(nodes)
-                }
-            })
-            .collect()
+            .filter(|s| matches!(p.instr(*s).kind, InstrKind::Print { .. }))
+            .map(|s| csr.stmt_nodes_of(s).to_vec())
+            .filter(|nodes| !nodes.is_empty())
+            .collect();
+        (sdg, csr, queries)
     }
 
     #[test]
     fn batch_matches_sequential_for_every_kind_and_thread_count() {
-        let a = setup();
-        let queries = all_print_queries(&a);
+        let (sdg, csr, queries) = setup();
         assert!(queries.len() >= 2);
         for kind in [
             SliceKind::Thin,
             SliceKind::TraditionalData,
             SliceKind::TraditionalFull,
         ] {
-            let sequential: Vec<Slice> = queries
-                .iter()
-                .map(|q| slice_from(&a.sdg, q, kind))
-                .collect();
+            let sequential: Vec<Slice> =
+                queries.iter().map(|q| slice_from(&sdg, q, kind)).collect();
             for threads in [1, 2, 4, 8] {
-                let batched = ci_plain(&a.csr, &queries, kind, threads, &Telemetry::disabled());
+                let batched = ci_plain(&csr, &queries, kind, threads, &Telemetry::disabled());
                 assert_eq!(batched.len(), sequential.len());
                 for (b, s) in batched.iter().zip(&sequential) {
                     assert_eq!(b.stmts, s.stmts, "{kind:?}/{threads}");
@@ -808,15 +690,14 @@ mod tests {
 
     #[test]
     fn batch_cs_matches_sequential() {
-        let a = setup();
-        let queries = all_print_queries(&a);
+        let (sdg, csr, queries) = setup();
         let sequential: Vec<CsSlice> = queries
             .iter()
-            .map(|q| cs_slice(&a.sdg, q, SliceKind::Thin))
+            .map(|q| cs_slice(&sdg, q, SliceKind::Thin))
             .collect();
         for threads in [1, 2, 4, 8] {
             let batched = cs_plain(
-                &a.csr,
+                &csr,
                 &queries,
                 SliceKind::Thin,
                 threads,
@@ -833,11 +714,10 @@ mod tests {
     fn scratch_reuse_does_not_leak_between_queries() {
         // Same query twice in one batch on one thread: the second run uses
         // a dirtied scratch and must still match.
-        let a = setup();
-        let q = all_print_queries(&a);
+        let (_, csr, q) = setup();
         let twice: Vec<Vec<NodeId>> = vec![q[0].clone(), q[1].clone(), q[0].clone()];
         let out = ci_plain(
-            &a.csr,
+            &csr,
             &twice,
             SliceKind::TraditionalFull,
             1,
@@ -853,17 +733,16 @@ mod tests {
         // query on, every callee-exit region comes from the scratch's
         // memo (spliced) rather than fresh tabulation, and each result
         // must still match a from-scratch sequential run.
-        let a = setup();
-        let q = all_print_queries(&a);
+        let (sdg, csr, q) = setup();
         let tiled: Vec<Vec<NodeId>> = q.iter().cycle().take(3 * q.len()).cloned().collect();
         for kind in [
             SliceKind::Thin,
             SliceKind::TraditionalData,
             SliceKind::TraditionalFull,
         ] {
-            let batched = cs_plain(&a.csr, &tiled, kind, 1, &Telemetry::disabled());
+            let batched = cs_plain(&csr, &tiled, kind, 1, &Telemetry::disabled());
             for (b, seeds) in batched.iter().zip(&tiled) {
-                let s = cs_slice(&a.sdg, seeds, kind);
+                let s = cs_slice(&sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
                 assert_eq!(b.nodes, s.nodes);
             }
@@ -874,8 +753,7 @@ mod tests {
     fn large_batches_take_the_filtered_path_and_still_match() {
         // Tile the queries past the CI filter threshold so the prefiltered
         // BFS actually runs (the CS batch never filters).
-        let a = setup();
-        let q = all_print_queries(&a);
+        let (sdg, csr, q) = setup();
         let tiled: Vec<Vec<NodeId>> = q
             .iter()
             .cycle()
@@ -888,15 +766,15 @@ mod tests {
             SliceKind::TraditionalData,
             SliceKind::TraditionalFull,
         ] {
-            let batched = ci_plain(&a.csr, &tiled, kind, 2, &Telemetry::disabled());
+            let batched = ci_plain(&csr, &tiled, kind, 2, &Telemetry::disabled());
             for (b, seeds) in batched.iter().zip(&tiled) {
-                let s = slice_from(&a.sdg, seeds, kind);
+                let s = slice_from(&sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
                 assert_eq!(b.nodes, s.nodes);
             }
-            let cs_batched = cs_plain(&a.csr, &tiled, kind, 2, &Telemetry::disabled());
+            let cs_batched = cs_plain(&csr, &tiled, kind, 2, &Telemetry::disabled());
             for (b, seeds) in cs_batched.iter().zip(&tiled) {
-                let s = cs_slice(&a.sdg, seeds, kind);
+                let s = cs_slice(&sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
                 assert_eq!(b.nodes, s.nodes);
             }
@@ -905,11 +783,11 @@ mod tests {
 
     #[test]
     fn empty_batch_and_empty_query() {
-        let a = setup();
+        let (_, csr, _) = setup();
         let none: &[Vec<NodeId>] = &[];
-        assert!(ci_plain(&a.csr, none, SliceKind::Thin, 4, &Telemetry::disabled()).is_empty());
+        assert!(ci_plain(&csr, none, SliceKind::Thin, 4, &Telemetry::disabled()).is_empty());
         let out = ci_plain(
-            &a.csr,
+            &csr,
             &[Vec::new()],
             SliceKind::Thin,
             1,
@@ -924,16 +802,15 @@ mod tests {
         // The same queries through both halves of the dispatcher must
         // agree on statements and nodes (the guarded path merely adds
         // isolation, never changes a traversal).
-        let a = setup();
-        let queries = all_print_queries(&a);
+        let (_, csr, queries) = setup();
         let plain_cfg = BatchConfig::default();
         let guarded_cfg = BatchConfig {
             ctx: RunCtx::disabled().with_budget(Budget::unlimited().with_step_limit(u64::MAX)),
             ..BatchConfig::default()
         };
         for engine in [Engine::Ci, Engine::Cs] {
-            let fast = run_batch(&a.csr, &queries, SliceKind::Thin, engine, 1, &plain_cfg);
-            let slow = run_batch(&a.csr, &queries, SliceKind::Thin, engine, 1, &guarded_cfg);
+            let fast = run_batch(&csr, &queries, SliceKind::Thin, engine, 1, &plain_cfg);
+            let slow = run_batch(&csr, &queries, SliceKind::Thin, engine, 1, &guarded_cfg);
             assert_eq!(fast.len(), slow.len());
             for (f, s) in fast.iter().zip(&slow) {
                 let (f, s) = (f.slice.as_ref().unwrap(), s.slice.as_ref().unwrap());

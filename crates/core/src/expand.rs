@@ -14,10 +14,11 @@
 //! Repeating these expansions in the limit yields the traditional slice.
 
 use crate::slice::{slice_sparse, Slice, SliceKind, SliceScratch};
+use crate::stmtset::StmtSet;
 use thinslice_ir::{InstrKind, MethodId, Program, StmtRef, Var};
 use thinslice_pta::{AllocSite, ObjId, Pta};
 use thinslice_sdg::{EdgeKind, NodeId, NodeKind, Sdg};
-use thinslice_util::{Budget, Completeness, FxHashSet, Meter, Outcome, RunCtx, Telemetry};
+use thinslice_util::{Completeness, Meter, Outcome, RunCtx};
 
 /// The result of explaining one heap-based flow in a thin slice.
 #[derive(Debug, Clone)]
@@ -136,47 +137,6 @@ pub fn explain_aliasing_ctx(
         Err(_) => tel.count("expand.rejections", 1),
     }
     out
-}
-
-/// [`explain_aliasing`] recording expansion telemetry.
-///
-/// # Errors
-///
-/// Same as [`explain_aliasing`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `explain_aliasing_ctx` with a `RunCtx` instead"
-)]
-pub fn explain_aliasing_telemetry(
-    program: &Program,
-    pta: &Pta,
-    sdg: &Sdg,
-    load: StmtRef,
-    store: StmtRef,
-    tel: &Telemetry,
-) -> Result<AliasExplanation, ExpandError> {
-    let ctx = RunCtx::disabled().with_telemetry(tel.clone());
-    explain_aliasing_ctx(program, pta, sdg, load, store, &ctx).map(|o| o.result)
-}
-
-/// [`explain_aliasing`] under a resource [`Budget`].
-///
-/// # Errors
-///
-/// Same as [`explain_aliasing`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `explain_aliasing_ctx` with a governed `RunCtx` instead"
-)]
-pub fn explain_aliasing_governed(
-    program: &Program,
-    pta: &Pta,
-    sdg: &Sdg,
-    load: StmtRef,
-    store: StmtRef,
-    budget: &Budget,
-) -> Result<Outcome<AliasExplanation>, ExpandError> {
-    explain_inner(program, pta, sdg, load, store, &mut budget.meter())
 }
 
 /// The one expansion engine behind every `explain_aliasing` entrypoint:
@@ -345,10 +305,9 @@ pub fn exposed_control_deps(sdg: &Sdg, stmt: StmtRef) -> Vec<StmtRef> {
 /// Statements that pass through heap-based flow inside a thin slice: pairs
 /// of (load, store) connected by a producer heap edge. These are the points
 /// a user may ask [`explain_aliasing`] about.
-pub fn heap_flow_pairs(program: &Program, sdg: &Sdg, slice: &Slice) -> Vec<(StmtRef, StmtRef)> {
-    let in_slice: FxHashSet<StmtRef> = slice.stmt_set();
+pub fn heap_flow_pairs(program: &Program, sdg: &Sdg, slice: &StmtSet) -> Vec<(StmtRef, StmtRef)> {
     let mut out = Vec::new();
-    for &s in &slice.stmts {
+    for &s in slice {
         let is_load = matches!(
             program.instr(s).kind,
             InstrKind::Load { .. } | InstrKind::ArrayLoad { .. }
@@ -371,7 +330,7 @@ pub fn heap_flow_pairs(program: &Program, sdg: &Sdg, slice: &Slice) -> Vec<(Stmt
                         program.instr(t).kind,
                         InstrKind::Store { .. } | InstrKind::ArrayStore { .. }
                     );
-                    if is_store && in_slice.contains(&t) && !out.contains(&(s, t)) {
+                    if is_store && slice.contains(t) && !out.contains(&(s, t)) {
                         out.push((s, t));
                     }
                 }
@@ -384,21 +343,10 @@ pub fn heap_flow_pairs(program: &Program, sdg: &Sdg, slice: &Slice) -> Vec<(Stmt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slice::slice_from;
     use thinslice_ir::compile;
     use thinslice_pta::PtaConfig;
     use thinslice_sdg::build_ci;
-
-    /// The historical one-shot thin slice, over the new internal loop.
-    fn slice_from(sdg: &Sdg, seeds: &[NodeId], kind: SliceKind) -> Slice {
-        slice_sparse(
-            sdg,
-            seeds,
-            kind,
-            &mut SliceScratch::new(),
-            &mut Meter::unlimited(),
-        )
-        .0
-    }
 
     /// The paper's Figure 4 shape: a File is closed through one alias and
     /// read through another; the aliasing explanation must reveal the flow
@@ -559,7 +507,7 @@ mod tests {
         let load = open_field_access(&p, true, "isOpen");
         let seed = sdg.stmt_node(load).unwrap();
         let thin = slice_from(&sdg, &[seed], SliceKind::Thin);
-        let pairs = heap_flow_pairs(&p, &sdg, &thin);
+        let pairs = heap_flow_pairs(&p, &sdg, &thin.stmts);
         assert!(
             pairs
                 .iter()

@@ -19,21 +19,24 @@
 //! plus the §6.1 evaluation harness ([`inspect`]) that simulates a tool
 //! user inspecting statements breadth-first from the seed.
 //!
-//! Two façades are available:
+//! Every slice is answered by an [`AnalysisSession`]: a lazy, memoising
+//! query session that builds each stage artifact on first use, threads
+//! one [`RunCtx`] for telemetry and governance, and maps one [`Query`]
+//! to one [`SliceResult`] shape.
 //!
-//! * [`AnalysisSession`] — the lazy, memoising query session: stage
-//!   artifacts built on first use, one [`RunCtx`] for telemetry and
-//!   governance, one [`Query`] → [`SliceResult`] shape;
-//! * [`Analysis`] — the eager context-insensitive pipeline, convenient
-//!   for scripts and tests that slice a program once.
+//! Two deliberately simple slicers sit beside it as the **reference
+//! pair** the query path is pinned against in tests: [`slice_from`]
+//! (one-shot BFS over any [`thinslice_sdg::DepGraph`]) and [`cs_slice`]
+//! (hash-store tabulation). They share no scratch, memo or prefilter
+//! with the served path.
 //!
 //! # Examples
 //!
 //! ```
-//! use thinslice::Analysis;
+//! use thinslice::{AnalysisSession, Engine, Query, SliceKind};
 //!
 //! // The paper's Figure 1 in miniature.
-//! let analysis = Analysis::build(&[(
+//! let mut session = AnalysisSession::new(&[(
 //!     "names.mj",
 //!     "class Main { static void main() {\n\
 //!         Vector names = new Vector();\n\
@@ -43,9 +46,9 @@
 //!         print(got);\n\
 //!     } }",
 //! )])?;
-//! let seed = analysis.seed_at_line("names.mj", 6).unwrap();
-//! let thin = analysis.thin_slice(&seed);
-//! let trad = analysis.traditional_slice(&seed);
+//! let seed = session.seed_at_line("names.mj", 6).unwrap();
+//! let thin = session.query(&Query::new(seed.clone(), SliceKind::Thin, Engine::Ci));
+//! let trad = session.query(&Query::new(seed, SliceKind::TraditionalData, Engine::Ci));
 //! assert!(thin.len() < trad.len());
 //! # Ok::<(), thinslice_ir::CompileError>(())
 //! ```
@@ -60,33 +63,21 @@ pub mod snapshot;
 mod stmtset;
 pub mod tabulation;
 
-#[allow(deprecated)]
-pub use batch::GovernedSlice;
 pub use batch::{BatchConfig, FaultInjection, QueryError, QueryOutcome};
 pub use expand::{
     explain_aliasing, explain_aliasing_ctx, exposed_control_deps, heap_flow_pairs, AliasExplanation,
 };
-#[allow(deprecated)]
-pub use expand::{explain_aliasing_governed, explain_aliasing_telemetry};
 pub use inspect::{simulate_inspection, InspectTask, InspectionResult};
 pub use session::{
     AnalysisSession, BatchOptions, Engine, Query, QueryPolicy, SliceResult, UpdateStats,
 };
-#[allow(deprecated)]
-pub use slice::{slice_from, slice_from_governed, slice_from_reusing};
-pub use slice::{Slice, SliceKind, SliceScratch};
+pub use slice::{slice_from, Slice, SliceKind, SliceScratch};
 pub use snapshot::{source_hash, SnapshotLoad, SnapshotStore};
 pub use stmtset::StmtSet;
-#[allow(deprecated)]
-pub use tabulation::{cs_slice, cs_slice_governed, cs_slice_indexed, cs_slice_reusing};
-pub use tabulation::{CsScratch, CsSlice, DownConsumers, MemoStats};
+pub use tabulation::{cs_slice, CsScratch, CsSlice, DownConsumers, MemoStats};
 pub use thinslice_util::{
     Budget, CancelToken, Completeness, ExhaustReason, Meter, Outcome, RunCtx, RunReport, Telemetry,
 };
-
-use thinslice_ir::{compile, CompileError, Program, StmtRef};
-use thinslice_pta::{ModRef, Pta, PtaConfig};
-use thinslice_sdg::{build_cs, FrozenSdg, NodeId, Sdg};
 
 /// Per-stage completeness of a governed analysis build (see
 /// [`AnalysisSession::build_report`]).
@@ -105,325 +96,10 @@ impl BuildReport {
     }
 }
 
-/// A compiled program plus the analyses slicing needs: points-to results,
-/// call graph and the context-insensitive dependence graph, all built
-/// eagerly.
-///
-/// For lazy stage construction, governance, telemetry or
-/// context-sensitive queries, use [`AnalysisSession`]; an `Analysis` is
-/// what [`AnalysisSession::into_analysis`] leaves behind.
-#[derive(Debug)]
-pub struct Analysis {
-    /// The compiled program.
-    pub program: Program,
-    /// Points-to and call-graph results.
-    pub pta: Pta,
-    /// The context-insensitive dependence graph (direct heap edges).
-    pub sdg: Sdg,
-    /// The same graph frozen into CSR arrays — the representation every
-    /// query traverses.
-    pub csr: FrozenSdg,
-}
-
-impl Analysis {
-    /// Compiles `sources` (with the standard library) and runs the default
-    /// analysis pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CompileError`] from the frontend.
-    pub fn build(sources: &[(&str, &str)]) -> Result<Analysis, CompileError> {
-        Self::with_config(sources, PtaConfig::default())
-    }
-
-    /// Like [`Analysis::build`] with an explicit pointer-analysis
-    /// configuration (e.g. [`PtaConfig::without_object_sensitivity`] for
-    /// the paper's `NoObjSens` runs).
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CompileError`] from the frontend.
-    pub fn with_config(
-        sources: &[(&str, &str)],
-        config: PtaConfig,
-    ) -> Result<Analysis, CompileError> {
-        let program = compile(sources)?;
-        Ok(Self::from_program(program, config))
-    }
-
-    /// Like [`Analysis::with_config`], with every pipeline stage running
-    /// under `ctx` — its telemetry records the pipeline spans, its budget
-    /// governs the points-to solve and SDG construction.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CompileError`] from the frontend.
-    pub fn with_ctx(
-        sources: &[(&str, &str)],
-        config: PtaConfig,
-        ctx: &RunCtx,
-    ) -> Result<Analysis, CompileError> {
-        Ok(AnalysisSession::with_ctx(sources, config, ctx.clone())?.into_analysis())
-    }
-
-    /// Runs the analysis pipeline on an already-compiled program.
-    pub fn from_program(program: Program, config: PtaConfig) -> Analysis {
-        Self::from_program_ctx(program, config, &RunCtx::disabled())
-    }
-
-    /// [`Analysis::from_program`] with every stage running under `ctx`.
-    pub fn from_program_ctx(program: Program, config: PtaConfig, ctx: &RunCtx) -> Analysis {
-        AnalysisSession::from_program(program, config, ctx.clone()).into_analysis()
-    }
-
-    /// [`Analysis::with_config`] recording pipeline telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CompileError`] from the frontend.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `Analysis::with_ctx` with a `RunCtx` instead"
-    )]
-    pub fn with_config_telemetry(
-        sources: &[(&str, &str)],
-        config: PtaConfig,
-        tel: &Telemetry,
-    ) -> Result<Analysis, CompileError> {
-        Self::with_ctx(
-            sources,
-            config,
-            &RunCtx::disabled().with_telemetry(tel.clone()),
-        )
-    }
-
-    /// [`Analysis::from_program`] recording pipeline telemetry.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `Analysis::from_program_ctx` with a `RunCtx` instead"
-    )]
-    pub fn from_program_telemetry(
-        program: Program,
-        config: PtaConfig,
-        tel: &Telemetry,
-    ) -> Analysis {
-        Self::from_program_ctx(
-            program,
-            config,
-            &RunCtx::disabled().with_telemetry(tel.clone()),
-        )
-    }
-
-    /// [`Analysis::with_config`] under a resource [`Budget`], with a
-    /// per-stage build report.
-    ///
-    /// # Errors
-    ///
-    /// Returns any [`CompileError`] from the frontend.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::with_ctx` with a governed `RunCtx` instead"
-    )]
-    pub fn with_config_governed(
-        sources: &[(&str, &str)],
-        config: PtaConfig,
-        budget: &Budget,
-    ) -> Result<(Analysis, BuildReport), CompileError> {
-        let program = compile(sources)?;
-        #[allow(deprecated)]
-        Ok(Self::from_program_governed(program, config, budget))
-    }
-
-    /// [`Analysis::from_program`] under a resource [`Budget`].
-    ///
-    /// Each stage (points-to solve, SDG construction) gets a freshly armed
-    /// meter from `budget`; a stage that exhausts it yields a sound partial
-    /// result (smaller call graph / fewer dependence edges) and the next
-    /// stage proceeds on it. The [`BuildReport`] says what was truncated.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::from_program` with a governed `RunCtx` instead"
-    )]
-    pub fn from_program_governed(
-        program: Program,
-        config: PtaConfig,
-        budget: &Budget,
-    ) -> (Analysis, BuildReport) {
-        let ctx = RunCtx::disabled().with_budget(budget.clone());
-        let mut session = AnalysisSession::from_program(program, config, ctx);
-        let report = session.build_report();
-        (session.into_analysis(), report)
-    }
-
-    /// Builds the context-sensitive (heap-parameter) dependence graph.
-    /// Expensive on large programs — that is the paper's point.
-    pub fn build_cs_sdg(&self) -> Sdg {
-        let modref = ModRef::compute(&self.program, &self.pta);
-        build_cs(&self.program, &self.pta, &modref)
-    }
-
-    /// All IR statements on `line` of the source file named `file`
-    /// (excluding synthetic code), usable as a seed or desired set.
-    pub fn stmts_at_line(&self, file: &str, line: u32) -> Vec<StmtRef> {
-        self.program
-            .all_stmts()
-            .filter(|s| {
-                let span = self.program.instr(*s).span;
-                !span.is_synthetic()
-                    && span.line == line
-                    && self.program.files[span.file].name == file
-            })
-            .collect()
-    }
-
-    /// The seed statements for slicing "from `file:line`" — all reachable
-    /// statements on that line. Returns `None` when the line has no
-    /// reachable statement.
-    pub fn seed_at_line(&self, file: &str, line: u32) -> Option<Vec<StmtRef>> {
-        let stmts: Vec<StmtRef> = self
-            .stmts_at_line(file, line)
-            .into_iter()
-            .filter(|s| self.sdg.stmt_node(*s).is_some())
-            .collect();
-        if stmts.is_empty() {
-            None
-        } else {
-            Some(stmts)
-        }
-    }
-
-    fn nodes_of(&self, seeds: &[StmtRef]) -> Vec<NodeId> {
-        seeds
-            .iter()
-            .flat_map(|&s| self.sdg.stmt_nodes_of(s).to_vec())
-            .collect()
-    }
-
-    fn slice(&self, seeds: &[StmtRef], kind: SliceKind) -> Slice {
-        slice::slice_sparse(
-            &self.csr,
-            &self.nodes_of(seeds),
-            kind,
-            &mut SliceScratch::new(),
-            &mut Meter::unlimited(),
-        )
-        .0
-    }
-
-    /// The thin slice from `seeds`: producer statements only.
-    pub fn thin_slice(&self, seeds: &[StmtRef]) -> Slice {
-        self.slice(seeds, SliceKind::Thin)
-    }
-
-    /// The traditional data slice from `seeds` (all flow dependences,
-    /// control handled out of band as in the paper's evaluation).
-    pub fn traditional_slice(&self, seeds: &[StmtRef]) -> Slice {
-        self.slice(seeds, SliceKind::TraditionalData)
-    }
-
-    /// The full Weiser-style slice from `seeds` (including control).
-    pub fn full_slice(&self, seeds: &[StmtRef]) -> Slice {
-        self.slice(seeds, SliceKind::TraditionalFull)
-    }
-
-    /// Runs the §6.1 breadth-first inspection simulation.
-    pub fn inspect(&self, task: &InspectTask, kind: SliceKind) -> InspectionResult {
-        simulate_inspection(&self.program, &self.csr, task, kind)
-    }
-
-    /// Computes one slice per statement-level query, fanned out over
-    /// `threads` workers sharing the frozen CSR graph. Results are in query
-    /// order and identical to calling [`Analysis::thin_slice`] (etc.) per
-    /// query.
-    pub fn batch_slices(
-        &self,
-        queries: &[Vec<StmtRef>],
-        kind: SliceKind,
-        threads: usize,
-    ) -> Vec<Slice> {
-        let node_queries: Vec<Vec<NodeId>> = queries.iter().map(|ss| self.nodes_of(ss)).collect();
-        batch::ci_plain(
-            &self.csr,
-            &node_queries,
-            kind,
-            threads,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// [`Analysis::batch_slices`] recording batch telemetry (per-query
-    /// latency histogram, traversal counters).
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::query_batch` with a traced `RunCtx` instead"
-    )]
-    pub fn batch_slices_telemetry(
-        &self,
-        queries: &[Vec<StmtRef>],
-        kind: SliceKind,
-        threads: usize,
-        tel: &Telemetry,
-    ) -> Vec<Slice> {
-        let node_queries: Vec<Vec<NodeId>> = queries.iter().map(|ss| self.nodes_of(ss)).collect();
-        batch::ci_plain(&self.csr, &node_queries, kind, threads, tel)
-    }
-
-    /// A single slice from `seeds` under a resource [`Budget`].
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-    )]
-    pub fn slice_governed(
-        &self,
-        seeds: &[StmtRef],
-        kind: SliceKind,
-        budget: &Budget,
-    ) -> Outcome<Slice> {
-        let (slice, completeness) = slice::slice_sparse(
-            &self.csr,
-            &self.nodes_of(seeds),
-            kind,
-            &mut SliceScratch::new(),
-            &mut budget.meter(),
-        );
-        Outcome::new(slice, completeness)
-    }
-
-    /// [`Analysis::batch_slices`] under a [`batch::BatchConfig`]: per-query
-    /// budgets, panic isolation with bounded retry, per-query latency.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `AnalysisSession::query_batch_with` instead"
-    )]
-    pub fn governed_batch_slices(
-        &self,
-        queries: &[Vec<StmtRef>],
-        kind: SliceKind,
-        threads: usize,
-        cfg: &BatchConfig,
-    ) -> Vec<QueryOutcome> {
-        let node_queries: Vec<Vec<NodeId>> = queries.iter().map(|ss| self.nodes_of(ss)).collect();
-        batch::ci_guarded(&self.csr, &node_queries, kind, threads, cfg)
-    }
-
-    /// Explains the aliasing between two heap accesses in a thin slice
-    /// (paper §4.1).
-    ///
-    /// # Errors
-    ///
-    /// See [`expand::explain_aliasing`].
-    pub fn explain_aliasing(
-        &self,
-        load: StmtRef,
-        store: StmtRef,
-    ) -> Result<AliasExplanation, expand::ExpandError> {
-        explain_aliasing(&self.program, &self.pta, &self.sdg, load, store)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thinslice_sdg::DepGraph;
 
     /// The paper's Figure 1, transliterated to MJ (the stdlib provides the
     /// Vector; readNames/printNames/main as in the paper).
@@ -465,22 +141,27 @@ class Main {
     }
 }"#;
 
+    fn figure1() -> AnalysisSession {
+        AnalysisSession::new(&[("fig1.mj", FIGURE1)]).unwrap()
+    }
+
     #[test]
     fn figure1_thin_slice_matches_the_paper() {
-        let a = Analysis::build(&[("fig1.mj", FIGURE1)]).unwrap();
+        let mut s = figure1();
         // Seed: the print at line 15 of fig1.mj.
-        let seed = a
+        let seed = s
             .seed_at_line("fig1.mj", 15)
             .expect("print line is reachable");
-        let thin = a.thin_slice(&seed);
-        let trad = a.traditional_slice(&seed);
+        let thin = s.query(&Query::new(seed.clone(), SliceKind::Thin, Engine::Ci));
+        let trad = s.query(&Query::new(seed, SliceKind::TraditionalData, Engine::Ci));
 
-        let lines_of = |s: &Slice| -> Vec<u32> {
-            let mut ls: Vec<u32> = s
+        let program = s.program();
+        let lines_of = |r: &SliceResult| -> Vec<u32> {
+            let mut ls: Vec<u32> = r
                 .stmts
                 .iter()
-                .map(|&st| a.program.instr(st).span)
-                .filter(|sp| !sp.is_synthetic() && a.program.files[sp.file].name == "fig1.mj")
+                .map(|&st| program.instr(st).span)
+                .filter(|sp| !sp.is_synthetic() && program.files[sp.file].name == "fig1.mj")
                 .map(|sp| sp.line)
                 .collect();
             ls.sort_unstable();
@@ -519,29 +200,30 @@ class Main {
 
     #[test]
     fn seed_at_line_misses_unreachable_code() {
-        let a = Analysis::build(&[(
+        let mut s = AnalysisSession::new(&[(
             "t.mj",
             "class Dead { void never() {\nprint(1);\n} }\nclass Main { static void main() { print(2); } }",
         )])
         .unwrap();
         assert!(
-            a.seed_at_line("t.mj", 2).is_none(),
+            s.seed_at_line("t.mj", 2).is_none(),
             "never() is unreachable"
         );
-        assert!(a.seed_at_line("t.mj", 4).is_some());
+        assert!(s.seed_at_line("t.mj", 4).is_some());
     }
 
     #[test]
     fn inspection_favors_thin_slicing_on_figure1() {
-        let a = Analysis::build(&[("fig1.mj", FIGURE1)]).unwrap();
-        let seed = a.seed_at_line("fig1.mj", 15).unwrap();
-        let buggy = a.stmts_at_line("fig1.mj", 7); // the substring line
+        let mut s = figure1();
+        let seed = s.seed_at_line("fig1.mj", 15).unwrap();
+        let buggy = s.stmts_at_line("fig1.mj", 7); // the substring line
         let task = InspectTask {
             seeds: seed,
             desired: vec![buggy],
         };
-        let thin = a.inspect(&task, SliceKind::Thin);
-        let trad = a.inspect(&task, SliceKind::TraditionalData);
+        let graph = s.ci_graph().clone();
+        let thin = simulate_inspection(s.program(), &graph, &task, SliceKind::Thin);
+        let trad = simulate_inspection(s.program(), &graph, &task, SliceKind::TraditionalData);
         assert!(thin.found_all && trad.found_all);
         assert!(
             thin.inspected < trad.inspected,
@@ -552,14 +234,31 @@ class Main {
     }
 
     #[test]
-    fn session_and_facade_agree() {
-        let a = Analysis::build(&[("fig1.mj", FIGURE1)]).unwrap();
-        let mut s = AnalysisSession::new(&[("fig1.mj", FIGURE1)]).unwrap();
-        let seed = a.seed_at_line("fig1.mj", 15).unwrap();
-        assert_eq!(s.seed_at_line("fig1.mj", 15).unwrap(), seed);
-        let facade = a.thin_slice(&seed);
-        let session = s.query(&Query::new(seed, SliceKind::Thin, Engine::Ci));
-        assert_eq!(facade.stmts, session.stmts);
-        assert_eq!(facade.nodes, session.nodes);
+    fn session_matches_the_reference_slicers() {
+        let mut s = figure1();
+        let seed = s.seed_at_line("fig1.mj", 15).unwrap();
+        for engine in [Engine::Ci, Engine::Cs] {
+            let got = s.query(&Query::new(seed.clone(), SliceKind::Thin, engine));
+            let graph = match engine {
+                Engine::Ci => s.ci_graph(),
+                Engine::Cs => s.cs_graph(),
+            };
+            let nodes: Vec<_> = seed
+                .iter()
+                .flat_map(|&st| graph.stmt_nodes_of(st).to_vec())
+                .collect();
+            let (stmts, ref_nodes) = match engine {
+                Engine::Ci => {
+                    let r = slice_from(graph, &nodes, SliceKind::Thin);
+                    (r.stmts, r.nodes)
+                }
+                Engine::Cs => {
+                    let r = cs_slice(graph, &nodes, SliceKind::Thin);
+                    (r.stmts, r.nodes)
+                }
+            };
+            assert_eq!(got.stmts, stmts, "{engine:?}");
+            assert_eq!(got.nodes, ref_nodes, "{engine:?}");
+        }
     }
 }

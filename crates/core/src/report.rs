@@ -2,21 +2,15 @@
 
 use crate::batch::QueryOutcome;
 use crate::inspect::InspectionResult;
-use crate::slice::Slice;
 use crate::stmtset::StmtSet;
 use std::collections::BTreeSet;
-use thinslice_ir::{pretty, Program, StmtRef};
+use thinslice_ir::{Program, StmtRef};
 use thinslice_util::Completeness;
 
-/// Renders a slice as source lines, deduplicated and in inspection (BFS)
-/// order. Synthetic statements (compiler-generated) are skipped.
-pub fn slice_lines(program: &Program, slice: &Slice) -> Vec<String> {
-    stmt_lines(program, &slice.stmts)
-}
-
-/// [`slice_lines`] over a bare statement set (e.g. a
-/// [`SliceResult`](crate::SliceResult)'s `stmts`), in the set's canonical
-/// order.
+/// Renders a slice's statements (e.g. a
+/// [`SliceResult`](crate::SliceResult)'s `stmts`) as source lines,
+/// deduplicated and in the set's canonical order — inspection (BFS) order
+/// for a CI slice. Synthetic statements (compiler-generated) are skipped.
 pub fn stmt_lines(program: &Program, stmts: &StmtSet) -> Vec<String> {
     let mut seen: BTreeSet<(u32, u32)> = BTreeSet::new();
     let mut out = Vec::new();
@@ -37,16 +31,6 @@ fn render_line(program: &Program, s: StmtRef) -> String {
     let file = &program.files[span.file];
     let text = file.line(span.line).map(str::trim).unwrap_or("<unknown>");
     format!("{}:{}: {}", file.name, span.line, text)
-}
-
-/// Renders a slice at IR granularity (one line per IR statement), useful
-/// for debugging the analyses themselves.
-pub fn slice_instrs(program: &Program, slice: &Slice) -> Vec<String> {
-    slice
-        .stmts
-        .iter()
-        .map(|&s| pretty::stmt_str(program, s))
-        .collect()
 }
 
 /// Renders an inspection transcript: the lines a simulated user reads, in
@@ -116,26 +100,10 @@ pub fn governed_batch_footer(outcomes: &[QueryOutcome]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::{slice_sparse, SliceKind, SliceScratch};
+    use crate::slice::{slice_from, SliceKind};
     use thinslice_ir::{compile, InstrKind};
     use thinslice_pta::{Pta, PtaConfig};
     use thinslice_sdg::build_ci;
-    use thinslice_util::Meter;
-
-    fn slice_from(
-        sdg: &thinslice_sdg::Sdg,
-        seeds: &[thinslice_sdg::NodeId],
-        kind: SliceKind,
-    ) -> Slice {
-        slice_sparse(
-            sdg,
-            seeds,
-            kind,
-            &mut SliceScratch::new(),
-            &mut Meter::unlimited(),
-        )
-        .0
-    }
 
     #[test]
     fn report_renders_source_lines_once() {
@@ -148,12 +116,10 @@ mod tests {
             .find(|s| matches!(p.instr(*s).kind, InstrKind::Print { .. }))
             .unwrap();
         let slice = slice_from(&sdg, &[sdg.stmt_node(seed_stmt).unwrap()], SliceKind::Thin);
-        let lines = slice_lines(&p, &slice);
+        let lines = stmt_lines(&p, &slice.stmts);
         assert_eq!(lines.len(), 3, "three distinct source lines: {lines:?}");
         assert!(lines[0].contains("print(y);"));
         assert!(lines.iter().any(|l| l.contains("int x = 1;")));
-        let instrs = slice_instrs(&p, &slice);
-        assert!(instrs.len() >= lines.len());
     }
 
     #[test]

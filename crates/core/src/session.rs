@@ -1,9 +1,5 @@
 //! The unified query session: one object, one entrypoint, every slicer.
-//!
-//! Before 0.4 the crate exposed a cross-product of entrypoints — four
-//! slicer families × {plain, telemetry, governed} × {one-shot, reusing} —
-//! and callers had to thread the right graph, scratch and meter through
-//! each. [`AnalysisSession`] collapses that surface:
+//! [`AnalysisSession`] is the only way to slice:
 //!
 //! * it owns the pipeline's stage artifacts (compiled program → points-to
 //!   → dependence graph → frozen CSR → down-edge index → tabulation memo)
@@ -45,7 +41,7 @@ use crate::slice::{slice_dense, SliceKind, SliceScratch};
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
 use crate::tabulation::{cs_reusing, CsScratch, DownConsumers, MemoStats};
-use crate::{Analysis, BuildReport};
+use crate::BuildReport;
 use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
 use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
 use thinslice_pta::{incr, GenCache, ModRef, Pta, PtaConfig};
@@ -1188,22 +1184,6 @@ impl AnalysisSession {
             gen_cache: GenCache::new(),
             sdg_cache: SdgCache::new(),
         })
-    }
-
-    /// Converts the session into the eager [`Analysis`] façade (forces
-    /// the CI pipeline). The CS artifacts, if built, are dropped.
-    pub fn into_analysis(mut self) -> Analysis {
-        // ensure_ci_csr short-circuits on a restored frozen graph, so
-        // force the growable graph explicitly (it may still be pending
-        // snapshot decode).
-        self.ensure_ci();
-        self.ensure_ci_csr();
-        Analysis {
-            program: self.program,
-            pta: self.pta.expect("pta ensured").0,
-            sdg: self.ci.expect("ci ensured").0,
-            csr: self.ci_csr.expect("ci csr ensured"),
-        }
     }
 }
 

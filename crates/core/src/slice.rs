@@ -3,13 +3,13 @@
 //! One metered BFS serves every caller: the ungoverned entrypoints pass an
 //! unlimited [`Meter`] (one predictable branch per node), the governed ones
 //! an armed meter. The [`crate::AnalysisSession`] query path and the batch
-//! engine drive the same loops through [`crate::Query`]; the free
-//! functions of earlier releases survive as deprecated delegating wrappers.
+//! engine drive the same loops through [`crate::Query`]; [`slice_from`] is
+//! the one-shot reference slicer the query path is pinned against.
 
 use crate::stmtset::StmtSet;
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DenseDisplay, DepGraph, NodeId, NO_DISPLAY};
-use thinslice_util::{BitSet, Budget, Completeness, FxHashSet, Meter, Outcome};
+use thinslice_util::{BitSet, Completeness, FxHashSet, Meter};
 
 /// Which dependence relation a slice follows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -308,14 +308,15 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
     )
 }
 
-/// Computes a backward slice from `seeds` by BFS over the edges `kind`
-/// follows. Seeds at distance 0; ties within a level broken by node id.
+/// The reference context-insensitive slicer: a backward slice from
+/// `seeds` by BFS over the edges `kind` follows, with fresh scratch and no
+/// budget. Seeds at distance 0; ties within a level broken by node id.
 ///
 /// Generic over [`DepGraph`]: runs identically over the growable
 /// [`thinslice_sdg::Sdg`] and its frozen CSR form
-/// ([`thinslice_sdg::FrozenSdg`]), which is the fast path for repeated
-/// queries.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
+/// ([`thinslice_sdg::FrozenSdg`]). [`crate::AnalysisSession::query`] with
+/// [`crate::Engine::Ci`] returns bit-identical statements (same order) and
+/// nodes; the tests pin that.
 pub fn slice_from<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> Slice {
     slice_sparse(
         sdg,
@@ -325,58 +326,6 @@ pub fn slice_from<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> Sl
         &mut Meter::unlimited(),
     )
     .0
-}
-
-/// [`slice_from`] with caller-provided scratch buffers. The result is
-/// identical to [`slice_from`]'s for any scratch state left by previous
-/// queries.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn slice_from_reusing<G: DepGraph>(
-    sdg: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut SliceScratch,
-) -> Slice {
-    slice_sparse(sdg, seeds, kind, scratch, &mut Meter::unlimited()).0
-}
-
-/// [`slice_from`] under a resource [`Budget`].
-///
-/// Runs the identical BFS; once the budget is exhausted the traversal stops
-/// pulling from the frontier and the visited prefix — a subset of the
-/// unbudgeted slice, in the same discovery order — is returned labelled
-/// `Truncated` with the abandoned frontier size. With an unlimited budget
-/// the result is bit-identical to [`slice_from`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-)]
-pub fn slice_from_governed<G: DepGraph>(
-    sdg: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    budget: &Budget,
-) -> Outcome<Slice> {
-    let mut meter = budget.meter();
-    let (slice, completeness) =
-        slice_sparse(sdg, seeds, kind, &mut SliceScratch::new(), &mut meter);
-    Outcome::new(slice, completeness)
-}
-
-/// [`slice_from_governed`] with caller-provided scratch and an armed meter.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-)]
-pub fn slice_from_governed_reusing<G: DepGraph>(
-    sdg: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut SliceScratch,
-    meter: &mut Meter,
-) -> Outcome<Slice> {
-    let (slice, completeness) = slice_sparse(sdg, seeds, kind, scratch, meter);
-    Outcome::new(slice, completeness)
 }
 
 #[cfg(test)]
@@ -391,17 +340,6 @@ mod tests {
         let pta = Pta::analyze(&p, PtaConfig::default());
         let sdg = build_ci(&p, &pta);
         (p, sdg)
-    }
-
-    fn slice(sdg: &Sdg, seeds: &[NodeId], kind: SliceKind) -> Slice {
-        slice_sparse(
-            sdg,
-            seeds,
-            kind,
-            &mut SliceScratch::new(),
-            &mut Meter::unlimited(),
-        )
-        .0
     }
 
     fn print_seed(p: &thinslice_ir::Program, sdg: &Sdg) -> NodeId {
@@ -429,8 +367,8 @@ mod tests {
             } }",
         );
         let seed = print_seed(&p, &sdg);
-        let thin = slice(&sdg, &[seed], SliceKind::Thin);
-        let trad = slice(&sdg, &[seed], SliceKind::TraditionalData);
+        let thin = slice_from(&sdg, &[seed], SliceKind::Thin);
+        let trad = slice_from(&sdg, &[seed], SliceKind::TraditionalData);
 
         // The string literal (producer) is in both slices.
         let lit = p
@@ -474,7 +412,7 @@ mod tests {
             } }",
         );
         let seed = print_seed(&p, &sdg);
-        let thin = slice(&sdg, &[seed], SliceKind::Thin);
+        let thin = slice_from(&sdg, &[seed], SliceKind::Thin);
         let alloc = p
             .all_stmts()
             .find(|s| {
@@ -503,8 +441,8 @@ mod tests {
             } }",
         );
         let seed = print_seed(&p, &sdg);
-        let thin = slice(&sdg, &[seed], SliceKind::Thin);
-        let full = slice(&sdg, &[seed], SliceKind::TraditionalFull);
+        let thin = slice_from(&sdg, &[seed], SliceKind::Thin);
+        let full = slice_from(&sdg, &[seed], SliceKind::TraditionalFull);
         let if_stmt = p
             .all_stmts()
             .find(|s| s.method == p.main_method && matches!(p.instr(*s).kind, InstrKind::If { .. }))
@@ -536,7 +474,7 @@ mod tests {
             SliceKind::TraditionalData,
             SliceKind::TraditionalFull,
         ] {
-            let warm = slice(&sdg, &[seed], kind);
+            let warm = slice_from(&sdg, &[seed], kind);
             let cold = slice_sparse(
                 &frozen,
                 &[seed],
@@ -570,7 +508,7 @@ mod tests {
     fn seed_is_in_its_own_slice() {
         let (p, sdg) = setup("class Main { static void main() { print(1); } }");
         let seed = print_seed(&p, &sdg);
-        let thin = slice(&sdg, &[seed], SliceKind::Thin);
+        let thin = slice_from(&sdg, &[seed], SliceKind::Thin);
         assert_eq!(
             thin.stmts.in_order().first().copied(),
             sdg.node(seed).as_stmt()
@@ -588,7 +526,7 @@ mod tests {
             } }",
         );
         let seed = print_seed(&p, &sdg);
-        let thin = slice(&sdg, &[seed], SliceKind::Thin);
+        let thin = slice_from(&sdg, &[seed], SliceKind::Thin);
         // Seed first; then c's def, then b's, then a's chain.
         let order = thin.stmts.in_order();
         let pos = |pred: &dyn Fn(&InstrKind) -> bool| {

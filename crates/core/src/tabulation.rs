@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use thinslice_ir::StmtRef;
 use thinslice_sdg::{DepGraph, EdgeKind, NodeId, NodeKind};
-use thinslice_util::{Budget, Completeness, FxHashMap, FxHashSet, Meter, Outcome};
+use thinslice_util::{Completeness, FxHashMap, FxHashSet, Meter};
 use thinslice_util::{Idx, IdxVec};
 
 /// Result of a context-sensitive slice: the visited node set.
@@ -88,7 +88,9 @@ fn classify<G: DepGraph>(kind: &EdgeKind, sdg: &G, target: NodeId) -> Step {
     }
 }
 
-/// Computes a context-sensitive backward slice from `seeds`.
+/// The reference context-sensitive slicer: a backward slice from `seeds`
+/// by demand-driven tabulation over hash-map storage (the sparse store),
+/// with a freshly built down-edge index and no budget.
 ///
 /// Intended for graphs whose *every* cross-procedure edge is a labelled
 /// parameter/call edge — i.e. the heap-parameter mode of
@@ -97,7 +99,9 @@ fn classify<G: DepGraph>(kind: &EdgeKind, sdg: &G, target: NodeId) -> Step {
 /// labels, so summarisation cannot continue past them and heap-borne flow
 /// is truncated; the paper likewise only pairs tabulation with heap
 /// parameters (§5.3).
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
+///
+/// [`crate::AnalysisSession::query`] with [`crate::Engine::Cs`] returns
+/// bit-identical statements and nodes; the tests pin that.
 pub fn cs_slice<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> CsSlice {
     cs_oneshot(
         sdg,
@@ -266,8 +270,7 @@ mod exit_state {
 /// splices the region (and, transitively, its sub-exits' regions) into
 /// its path table instead of re-tabulating the callee: across a batch,
 /// each callee region is tabulated once, not once per query. This is why
-/// [`cs_slice_reusing`] requires scratch reuse to stay on one
-/// (graph, kind) pair.
+/// a reused [`CsScratch`] must stay on one (graph, kind) pair.
 #[derive(Debug, Default)]
 struct DenseStore {
     /// `path[n]` = sources with a path edge to `n`. The per-node source
@@ -571,9 +574,9 @@ impl TabStore for DenseStore {
 /// cleared between queries retaining capacity, while memoised graph facts
 /// (summaries, callee-exit regions) persist and make later queries
 /// cheaper. In steady state a query allocates nothing but its result.
-/// One-shot entry points ([`cs_slice`],
-/// [`cs_slice_indexed`]) use a sparse store instead, which needs no
-/// O(graph) setup — so their latency is untouched by the batch machinery.
+/// One-shot entry points ([`cs_slice`] and small batches) use a sparse
+/// store instead, which needs no O(graph) setup — so their latency is
+/// untouched by the batch machinery.
 #[derive(Debug, Default)]
 pub struct CsScratch {
     store: DenseStore,
@@ -701,72 +704,6 @@ pub(crate) fn cs_reusing<G: DepGraph>(
     )
 }
 
-/// [`cs_slice`] with a prebuilt [`DownConsumers`] index for `sdg`. The
-/// index depends only on the graph, so it can be shared across any number
-/// of queries (and threads).
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn cs_slice_indexed<G: DepGraph>(
-    sdg: &G,
-    index: &DownConsumers,
-    seeds: &[NodeId],
-    kind: SliceKind,
-) -> CsSlice {
-    cs_oneshot(sdg, index, seeds, kind, &mut Meter::unlimited()).0
-}
-
-/// [`cs_slice`] under a resource [`Budget`].
-///
-/// Identical traversal; once the budget is exhausted the accumulated path
-/// edges — a subset of the fixpoint relation, since it only grows — are
-/// returned labelled `Truncated` with the abandoned worklist size. With an
-/// unlimited budget the result is bit-identical to [`cs_slice`].
-#[deprecated(
-    since = "0.4.0",
-    note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-)]
-pub fn cs_slice_governed<G: DepGraph>(
-    sdg: &G,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    budget: &Budget,
-) -> Outcome<CsSlice> {
-    let mut meter = budget.meter();
-    let (slice, completeness) =
-        cs_oneshot(sdg, &DownConsumers::build(sdg), seeds, kind, &mut meter);
-    Outcome::new(slice, completeness)
-}
-
-/// [`cs_slice_governed`] with a shared index, caller-provided scratch and
-/// an armed meter. The scratch contract of [`cs_slice_reusing`] applies.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `AnalysisSession::query` with a budgeted `QueryPolicy` instead"
-)]
-pub fn cs_slice_governed_reusing<G: DepGraph>(
-    sdg: &G,
-    index: &DownConsumers,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut CsScratch,
-    meter: &mut Meter,
-) -> Outcome<CsSlice> {
-    let (slice, completeness) = cs_reusing(sdg, index, seeds, kind, scratch, meter);
-    Outcome::new(slice, completeness)
-}
-
-/// [`cs_slice_indexed`] with caller-provided scratch state; see
-/// [`CsScratch`]'s scratch contract.
-#[deprecated(since = "0.4.0", note = "use `AnalysisSession::query` instead")]
-pub fn cs_slice_reusing<G: DepGraph>(
-    sdg: &G,
-    index: &DownConsumers,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut CsScratch,
-) -> CsSlice {
-    cs_reusing(sdg, index, seeds, kind, scratch, &mut Meter::unlimited()).0
-}
-
 /// The paper's §5.3 tabulation, generic over graph and storage; see
 /// [`TabStore`] for why two storages exist.
 ///
@@ -861,32 +798,10 @@ fn tabulate<G: DepGraph, S: TabStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slice::{slice_sparse, SliceKind, SliceScratch};
+    use crate::slice::{slice_from, SliceKind};
     use thinslice_ir::{compile, InstrKind, Program};
     use thinslice_pta::{ModRef, Pta, PtaConfig};
     use thinslice_sdg::{build_ci, build_cs, Sdg};
-
-    fn cs_slice<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> CsSlice {
-        cs_oneshot(
-            sdg,
-            &DownConsumers::build(sdg),
-            seeds,
-            kind,
-            &mut Meter::unlimited(),
-        )
-        .0
-    }
-
-    fn slice_from<G: DepGraph>(sdg: &G, seeds: &[NodeId], kind: SliceKind) -> crate::Slice {
-        slice_sparse(
-            sdg,
-            seeds,
-            kind,
-            &mut SliceScratch::new(),
-            &mut Meter::unlimited(),
-        )
-        .0
-    }
 
     fn setup(src: &str) -> (Program, Sdg, Sdg) {
         let p = compile(&[("t.mj", src)]).unwrap();

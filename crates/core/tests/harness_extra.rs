@@ -1,8 +1,20 @@
 //! Extra harness tests: inspection ordering, report rendering and whole-
 //! program SSA validation.
 
-use thinslice::{Analysis, InspectTask, SliceKind};
+use thinslice::{
+    simulate_inspection, AnalysisSession, Engine, InspectTask, InspectionResult, Query, SliceKind,
+};
 use thinslice_ir::ssa::validate_ssa;
+
+fn session(file: &str, src: &str) -> AnalysisSession {
+    AnalysisSession::new(&[(file, src)]).unwrap()
+}
+
+/// Runs the §6.1 inspection simulation over the session's CI graph.
+fn inspect(s: &mut AnalysisSession, task: &InspectTask, kind: SliceKind) -> InspectionResult {
+    let program = s.program().clone();
+    simulate_inspection(&program, s.ci_graph(), task, kind)
+}
 
 #[test]
 fn inspection_order_is_distance_monotone() {
@@ -17,13 +29,13 @@ int c = b + 1;
 int d = c + 1;
 print(d);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
+    let mut a = session("p.mj", src);
     let seeds = a.seed_at_line("p.mj", 6).unwrap();
     let task = InspectTask {
         seeds,
         desired: vec![a.stmts_at_line("p.mj", 2)],
     };
-    let r = a.inspect(&task, SliceKind::Thin);
+    let r = inspect(&mut a, &task, SliceKind::Thin);
     assert!(r.found_all);
     let lines: Vec<u32> = r.order.iter().map(|(_, l)| *l).collect();
     assert_eq!(
@@ -43,13 +55,13 @@ class Main { static void main() {
 int x = 1 + 2 * 3 - 4 + 5 * 6;
 print(x);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
+    let mut a = session("p.mj", src);
     let seeds = a.seed_at_line("p.mj", 3).unwrap();
     let task = InspectTask {
         seeds,
         desired: vec![a.stmts_at_line("p.mj", 2)],
     };
-    let r = a.inspect(&task, SliceKind::Thin);
+    let r = inspect(&mut a, &task, SliceKind::Thin);
     assert_eq!(r.inspected, 2, "seed line + producer line");
 }
 
@@ -60,13 +72,13 @@ class Main { static void main() {
 int x = 41;
 print(x + 1);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
+    let mut a = session("p.mj", src);
     let seeds = a.seed_at_line("p.mj", 3).unwrap();
     let task = InspectTask {
         seeds,
         desired: vec![a.stmts_at_line("p.mj", 2)],
     };
-    let r = a.inspect(&task, SliceKind::Thin);
+    let r = inspect(&mut a, &task, SliceKind::Thin);
     let report = thinslice::report::inspection_report(&r);
     assert!(report.contains("p.mj:3"), "{report}");
     assert!(report.contains("all desired statements found"), "{report}");
@@ -91,13 +103,13 @@ fn full_slice_of_seed_with_no_deps_is_just_the_seed_line() {
 class Main { static void main() {
 print(7);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
+    let mut a = session("p.mj", src);
     let seeds = a.seed_at_line("p.mj", 2).unwrap();
-    let thin = a.thin_slice(&seeds);
+    let thin = a.query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
     let lines: std::collections::HashSet<u32> = thin
         .stmts
         .iter()
-        .map(|&s| a.program.instr(s).span.line)
+        .map(|&s| a.program().instr(s).span.line)
         .filter(|&l| l > 0)
         .collect();
     assert_eq!(lines, std::collections::HashSet::from([2]));
@@ -112,16 +124,15 @@ int a = 2;
 int b = a * a;
 print(b);
 } }";
-    let a = Analysis::build(&[("p.mj", src)]).unwrap();
+    let mut a = session("p.mj", src);
     let seeds = a.seed_at_line("p.mj", 4).unwrap();
+    let sdg = a.ci_sdg();
     let nodes: Vec<_> = seeds
         .iter()
-        .flat_map(|&s| a.sdg.stmt_nodes_of(s).to_vec())
+        .flat_map(|&s| sdg.stmt_nodes_of(s).to_vec())
         .collect();
-    #[allow(deprecated)]
-    let ci = thinslice::slice_from(&a.sdg, &nodes, SliceKind::Thin);
-    #[allow(deprecated)]
-    let cs = thinslice::cs_slice(&a.sdg, &nodes, SliceKind::Thin);
+    let ci = thinslice::slice_from(sdg, &nodes, SliceKind::Thin);
+    let cs = thinslice::cs_slice(sdg, &nodes, SliceKind::Thin);
     assert_eq!(ci.stmt_set(), cs.stmts.to_hash_set());
 }
 
@@ -136,38 +147,24 @@ fn expansion_statements_are_outside_the_thin_slice() {
         Object got = b.item;
         print(got);
     } }";
-    let a = Analysis::build(&[("t.mj", src)]).unwrap();
-    let load = a
-        .program
+    let mut a = session("t.mj", src);
+    let program = a.program().clone();
+    let main_stmt = |want: fn(&thinslice_ir::InstrKind) -> bool| {
+        program
+            .all_stmts()
+            .find(|s| s.method == program.main_method && want(&program.instr(*s).kind))
+            .unwrap()
+    };
+    let load = main_stmt(|k| matches!(k, thinslice_ir::InstrKind::Load { .. }));
+    let store = main_stmt(|k| matches!(k, thinslice_ir::InstrKind::Store { .. }));
+    let thin = a.query(&Query::new(vec![load], SliceKind::Thin, Engine::Ci));
+    let sdg = a.ci_sdg().clone();
+    let explanation = thinslice::explain_aliasing(&program, a.pta(), &sdg, load, store).unwrap();
+    let box_alloc = program
         .all_stmts()
         .find(|s| {
-            s.method == a.program.main_method
-                && matches!(
-                    a.program.instr(*s).kind,
-                    thinslice_ir::InstrKind::Load { .. }
-                )
-        })
-        .unwrap();
-    let store = a
-        .program
-        .all_stmts()
-        .find(|s| {
-            s.method == a.program.main_method
-                && matches!(
-                    a.program.instr(*s).kind,
-                    thinslice_ir::InstrKind::Store { .. }
-                )
-        })
-        .unwrap();
-    let seeds = vec![load];
-    let thin = a.thin_slice(&seeds);
-    let explanation = a.explain_aliasing(load, store).unwrap();
-    let box_alloc = a
-        .program
-        .all_stmts()
-        .find(|s| {
-            matches!(&a.program.instr(*s).kind, thinslice_ir::InstrKind::New { class, .. }
-                if *class == a.program.class_named("Box").unwrap())
+            matches!(&program.instr(*s).kind, thinslice_ir::InstrKind::New { class, .. }
+                if *class == program.class_named("Box").unwrap())
         })
         .unwrap();
     assert!(

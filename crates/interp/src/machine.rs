@@ -212,18 +212,6 @@ pub fn run_ctx(program: &Program, config: &ExecConfig, ctx: &RunCtx) -> Executio
     exec
 }
 
-/// [`run`] recording interpreter telemetry: an `interp.run` span counting
-/// executed instructions and printed values, a per-outcome counter, and an
-/// `interp.budget_exhausted` event when a resource limit stopped the run.
-/// With a disabled handle this is exactly [`run`].
-#[deprecated(since = "0.4.0", note = "use `run_ctx` with a `RunCtx` instead")]
-pub fn run_telemetry(program: &Program, config: &ExecConfig, tel: &Telemetry) -> Execution {
-    let mut span = tel.span("interp.run");
-    let exec = run(program, config);
-    record_run(tel, &mut span, &exec);
-    exec
-}
-
 fn record_run(tel: &Telemetry, span: &mut thinslice_util::telemetry::Span<'_>, exec: &Execution) {
     span.add("interp.steps", exec.step_count() as u64);
     span.add("interp.prints", exec.prints.len() as u64);

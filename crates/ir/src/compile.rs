@@ -72,15 +72,6 @@ pub fn compile_fingerprinted(
     Ok((collect(files, asts, tel)?, fps))
 }
 
-/// Like [`compile`], but recording frontend telemetry.
-#[deprecated(since = "0.4.0", note = "use `compile_ctx` with a `RunCtx` instead")]
-pub fn compile_telemetry(
-    sources: &[(&str, &str)],
-    tel: &Telemetry,
-) -> Result<Program, CompileError> {
-    compile_ctx(sources, &RunCtx::disabled().with_telemetry(tel.clone()))
-}
-
 /// Compiles MJ sources *without* the standard library. The sources must
 /// define `Object` and `String` themselves. Mostly useful in tests.
 ///

@@ -98,22 +98,12 @@ pub fn solve(program: &Program, config: &PtaConfig) -> SolverResult {
     Solver::new(program, config, &mut cache).run()
 }
 
-/// Like [`solve`], but metered: stops pulling worklist items once `meter`
-/// is exhausted and labels the (sound, partial) result accordingly.
-pub fn solve_governed(
-    program: &Program,
-    config: &PtaConfig,
-    meter: &mut Meter,
-) -> (SolverResult, Completeness) {
-    let mut cache = GenCache::new();
-    Solver::new(program, config, &mut cache).run_governed(meter)
-}
-
-/// Like [`solve_governed`], but replaying per-method generation streams
-/// from (and retaining new ones into) `cache` — the incremental-update
-/// entry point. With an empty cache this is exactly [`solve_governed`];
-/// with a warm cache the result is still bit-identical, because cached
-/// streams are byte-equal to freshly built ones for unchanged methods.
+/// Like [`solve`], but metered — it stops pulling worklist items once
+/// `meter` is exhausted and labels the (sound, partial) result accordingly
+/// — and replaying per-method generation streams from (and retaining new
+/// ones into) `cache`, the incremental-update entry point. With a warm
+/// cache the result is bit-identical to a cold one, because cached streams
+/// are byte-equal to freshly built ones for unchanged methods.
 pub fn solve_governed_cached(
     program: &Program,
     config: &PtaConfig,

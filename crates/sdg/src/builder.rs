@@ -56,17 +56,6 @@ pub fn build_ci_ctx(program: &Program, pta: &Pta, ctx: &RunCtx) -> (Sdg, Complet
     (sdg, completeness)
 }
 
-/// Like [`build_ci`], but metered: a truncated build returns a graph with a
-/// (sound) subset of the statement nodes and dependence edges, labelled with
-/// why construction stopped and roughly how much work was abandoned.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `build_ci_ctx` with a governed `RunCtx` instead"
-)]
-pub fn build_ci_governed(program: &Program, pta: &Pta, meter: &mut Meter) -> (Sdg, Completeness) {
-    Builder::new(program, pta, crate::HeapMode::DirectEdges).run_governed(meter)
-}
-
 /// Like [`build_ci_ctx`], but serving per-method def-site/control-dependence
 /// artifacts from (and retaining new ones into) `cache` — the incremental
 /// rebuild entry point. With an empty cache this is exactly

@@ -133,13 +133,14 @@ pub fn generate(config: &GeneratorConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thinslice::Analysis;
+    use thinslice::AnalysisSession;
 
     #[test]
     fn generated_program_compiles() {
         let src = generate(&GeneratorConfig::default());
-        let a = Analysis::build(&[("gen.mj", &src)]).expect("generated program must compile");
-        assert!(a.pta.callgraph.node_count() > 10);
+        let mut s =
+            AnalysisSession::new(&[("gen.mj", &src)]).expect("generated program must compile");
+        assert!(s.pta().callgraph.node_count() > 10);
     }
 
     #[test]
@@ -153,8 +154,8 @@ mod tests {
         let small = generate(&GeneratorConfig::default());
         let big = generate(&GeneratorConfig::scaled(3));
         assert!(big.len() > small.len() * 2);
-        let a = Analysis::build(&[("gen.mj", &big)]).expect("scaled program must compile");
-        assert!(a.sdg.node_count() > 0);
+        let mut s = AnalysisSession::new(&[("gen.mj", &big)]).expect("scaled program must compile");
+        assert!(s.ci_sdg().node_count() > 0);
     }
 
     #[test]
@@ -162,17 +163,18 @@ mod tests {
         // Every pass downcasts container-retrieved nodes; at least one cast
         // must be unverifiable.
         let src = generate(&GeneratorConfig::default());
-        let a = Analysis::build(&[("gen.mj", &src)]).unwrap();
+        let mut session = AnalysisSession::new(&[("gen.mj", &src)]).unwrap();
+        let program = session.program().clone();
         let mut tough = 0;
-        for s in a.program.all_stmts() {
+        for s in program.all_stmts() {
             if let thinslice_ir::InstrKind::Cast {
                 src: thinslice_ir::Operand::Var(v),
                 ty,
                 ..
-            } = &a.program.instr(s).kind
+            } = &program.instr(s).kind
             {
-                if a.sdg.stmt_node(s).is_some()
-                    && !a.pta.cast_is_verified(&a.program, s.method, *v, ty)
+                if session.ci_sdg().stmt_node(s).is_some()
+                    && !session.pta().cast_is_verified(&program, s.method, *v, ty)
                 {
                     tough += 1;
                 }

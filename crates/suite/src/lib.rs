@@ -72,9 +72,12 @@ mod tests {
     #[test]
     fn all_benchmarks_compile() {
         for b in all_benchmarks() {
-            let a = b.analyze(thinslice_pta::PtaConfig::default());
+            let mut s = b.session(
+                thinslice_pta::PtaConfig::default(),
+                thinslice::RunCtx::disabled(),
+            );
             assert!(
-                a.pta.callgraph.node_count() > 0,
+                s.pta().callgraph.node_count() > 0,
                 "{} has no reachable code",
                 b.name
             );

@@ -248,14 +248,15 @@ pub fn bugs() -> Vec<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thinslice::RunCtx;
     use thinslice_pta::PtaConfig;
 
     #[test]
     fn ant_compiles_and_tasks_resolve() {
         let b = benchmark();
-        let a = b.analyze(PtaConfig::default());
+        let mut session = b.session(PtaConfig::default(), RunCtx::disabled());
         for task in bugs() {
-            let resolved = task.resolve(&b, &a);
+            let resolved = task.resolve(&b, &mut session);
             assert!(!resolved.seeds.is_empty(), "{}: no seeds", task.id);
         }
     }

@@ -308,14 +308,15 @@ pub fn casts() -> Vec<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use thinslice::RunCtx;
     use thinslice_pta::PtaConfig;
 
     #[test]
     fn jack_compiles_and_tasks_resolve() {
         let b = benchmark();
-        let a = b.analyze(PtaConfig::default());
+        let mut session = b.session(PtaConfig::default(), RunCtx::disabled());
         for task in casts() {
-            let resolved = task.resolve(&b, &a);
+            let resolved = task.resolve(&b, &mut session);
             assert!(!resolved.seeds.is_empty(), "{}: no seeds", task.id);
         }
     }

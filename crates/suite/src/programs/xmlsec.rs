@@ -135,15 +135,15 @@ pub fn bugs() -> Vec<Task> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
+    use thinslice::{Engine, Query, RunCtx, SliceKind};
     use thinslice_pta::PtaConfig;
 
     #[test]
     fn xmlsec_compiles_and_task_resolves() {
         let b = benchmark();
-        let a = b.analyze(PtaConfig::default());
+        let mut session = b.session(PtaConfig::default(), RunCtx::disabled());
         for task in bugs() {
-            let resolved = task.resolve(&b, &a);
+            let resolved = task.resolve(&b, &mut session);
             assert!(!resolved.seeds.is_empty());
         }
     }
@@ -154,14 +154,14 @@ mod tests {
         // in essentially the whole digest pipeline: the property the paper
         // reports for the five unsliceable xml-security bugs.
         let b = benchmark();
-        let a = b.analyze(PtaConfig::default());
+        let mut session = b.session(PtaConfig::default(), RunCtx::disabled());
         let src = SOURCE;
         let seed_line = crate::spec::line_with(src, "if (digest != this.expected)");
-        let seeds = a.seed_at_line("xmlsec.mj", seed_line).unwrap();
-        let slice = a.thin_slice(&seeds);
+        let seeds = session.seed_at_line("xmlsec.mj", seed_line).unwrap();
+        let slice = session.query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
         // The mixing arithmetic is unavoidable in the slice.
         let mix_line = crate::spec::line_with(src, "int a = state * 31 + word;");
-        let mix_stmts = a.stmts_at_line("xmlsec.mj", mix_line);
+        let mix_stmts = session.stmts_at_line("xmlsec.mj", mix_line);
         assert!(
             mix_stmts.iter().any(|s| slice.contains(*s)),
             "the digest internals flow into the checked value"

@@ -4,7 +4,7 @@
 //! than line numbers, so the MJ programs can be edited without silently
 //! corrupting the experiment definitions.
 
-use thinslice::{Analysis, AnalysisSession, InspectTask, RunCtx};
+use thinslice::{AnalysisSession, InspectTask, RunCtx};
 
 /// A benchmark program: a name and its MJ sources.
 #[derive(Debug, Clone)]
@@ -16,17 +16,6 @@ pub struct Benchmark {
 }
 
 impl Benchmark {
-    /// Compiles and analyses the benchmark with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the benchmark sources fail to compile — they are fixtures
-    /// and must always build.
-    pub fn analyze(&self, config: thinslice_pta::PtaConfig) -> Analysis {
-        Analysis::with_config(&self.sources, config)
-            .unwrap_or_else(|e| panic!("benchmark {} failed to compile: {e}", self.name))
-    }
-
     /// Opens an [`AnalysisSession`] on the benchmark — the lazy query
     /// entrypoint the experiment and equivalence tests drive.
     ///
@@ -106,14 +95,14 @@ pub fn line_with(src: &str, snippet: &str) -> u32 {
 }
 
 impl Task {
-    /// Resolves the task to concrete IR statements against an analysis of
+    /// Resolves the task to concrete IR statements against a session on
     /// its benchmark.
     ///
     /// # Panics
     ///
     /// Panics if a marker resolves to a line with no reachable statement —
     /// that indicates a broken spec.
-    pub fn resolve(&self, benchmark: &Benchmark, analysis: &Analysis) -> InspectTask {
+    pub fn resolve(&self, benchmark: &Benchmark, session: &mut AnalysisSession) -> InspectTask {
         let line_of_marker = |m: &Marker| -> (&'static str, u32) {
             let src = benchmark
                 .sources
@@ -123,7 +112,7 @@ impl Task {
             (m.file, line_with(src.1, m.snippet))
         };
         let (seed_file, seed_line) = line_of_marker(&self.seed);
-        let seeds = analysis
+        let seeds = session
             .seed_at_line(seed_file, seed_line)
             .unwrap_or_else(|| {
                 panic!("{}: seed line {seed_file}:{seed_line} unreachable", self.id)
@@ -133,7 +122,7 @@ impl Task {
             .iter()
             .map(|m| {
                 let (f, l) = line_of_marker(m);
-                let stmts = analysis.stmts_at_line(f, l);
+                let stmts = session.stmts_at_line(f, l);
                 assert!(
                     !stmts.is_empty(),
                     "{}: desired line {f}:{l} has no statements",

@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --example compare_slicers [benchmark]`
 
-use thinslice::{Analysis, AnalysisSession, Engine, Query, SliceKind};
-use thinslice_sdg::SdgStats;
+use thinslice::{AnalysisSession, Engine, Query, SliceKind};
+use thinslice_pta::ModRef;
+use thinslice_sdg::{build_cs, SdgStats};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args()
@@ -18,31 +19,34 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| panic!("unknown benchmark {name}; try nanoxml, ant, javac, jack …"));
     println!("benchmark: {name}");
 
-    let analysis = Analysis::build(&benchmark.sources)?;
-    let ci_stats = SdgStats::compute(&analysis.sdg);
+    let mut session = AnalysisSession::new(&benchmark.sources)?;
+    let ci_stats = SdgStats::compute(session.ci_sdg());
     println!(
         "context-insensitive SDG: {} nodes ({} statements), {} edges",
         ci_stats.nodes, ci_stats.stmt_nodes, ci_stats.edges
     );
 
-    let cs_sdg = analysis.build_cs_sdg();
-    let cs_stats = SdgStats::compute(&cs_sdg);
+    // The session keeps its heap-parameter graph in frozen form only;
+    // build the growable one once more for its node-kind statistics.
+    let program = session.program().clone();
+    let pta = session.pta();
+    let cs_stats = SdgStats::compute(&build_cs(&program, pta, &ModRef::compute(&program, pta)));
     println!(
         "context-sensitive SDG:   {} nodes ({} heap-parameter nodes) — the paper's blow-up",
         cs_stats.nodes, cs_stats.heap_param_nodes
     );
 
     // Seed every print statement in turn and average the sizes.
-    let seeds: Vec<_> = analysis
-        .program
+    let sdg = session.ci_sdg();
+    let seeds: Vec<_> = program
         .all_stmts()
         .filter(|s| {
             matches!(
-                analysis.program.instr(*s).kind,
+                program.instr(*s).kind,
                 thinslice_ir::InstrKind::Print { .. }
             )
         })
-        .filter(|s| !analysis.sdg.stmt_nodes_of(*s).is_empty())
+        .filter(|s| !sdg.stmt_nodes_of(*s).is_empty())
         .collect();
     println!(
         "\nslicing from each of the {} print statements:",
@@ -52,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<28} {:>8} {:>8} {:>12} {:>12}",
         "seed", "thin-CI", "trad-CI", "thin-heappar", "trad-heappar"
     );
-    let mut session = AnalysisSession::new(&benchmark.sources)?;
     for &seed in &seeds {
         let q = |kind, engine| Query::new(vec![seed], kind, engine);
         let thin_ci = session.query(&q(SliceKind::Thin, Engine::Ci)).len();
@@ -66,8 +69,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let trad_hp = session
             .query(&q(SliceKind::TraditionalData, Engine::Cs))
             .len();
-        let span = analysis.program.instr(seed).span;
-        let label = format!("{}:{}", analysis.program.files[span.file].name, span.line);
+        let span = program.instr(seed).span;
+        let label = format!("{}:{}", program.files[span.file].name, span.line);
         println!("{label:<28} {thin_ci:>8} {trad_ci:>8} {thin_hp:>12} {trad_hp:>12}");
     }
     println!(

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use thinslice::{report, Analysis};
+use thinslice::{report, AnalysisSession, Engine, Query, SliceKind};
 
 /// The paper's Figure 1, transliterated to MJ.
 const FIGURE1: &str = r#"class Names {
@@ -51,25 +51,25 @@ class Main {
 }"#;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let analysis = Analysis::build(&[("fig1.mj", FIGURE1)])?;
+    let mut session = AnalysisSession::new(&[("fig1.mj", FIGURE1)])?;
 
     // Seed: the print statement (line 15 of fig1.mj).
-    let seed = analysis
+    let seed = session
         .seed_at_line("fig1.mj", 15)
         .expect("print line is reachable");
 
-    let thin = analysis.thin_slice(&seed);
-    let trad = analysis.traditional_slice(&seed);
+    let thin = session.query(&Query::new(seed.clone(), SliceKind::Thin, Engine::Ci));
+    let trad = session.query(&Query::new(seed, SliceKind::TraditionalData, Engine::Ci));
 
     println!("=== Thin slice from the print (producer statements only) ===");
-    for line in report::slice_lines(&analysis.program, &thin) {
+    for line in report::stmt_lines(session.program(), &thin.stmts) {
         if line.starts_with("fig1.mj") {
             println!("  {line}");
         }
     }
     println!();
     println!("=== Traditional slice from the same seed ===");
-    for line in report::slice_lines(&analysis.program, &trad) {
+    for line in report::stmt_lines(session.program(), &trad.stmts) {
         if line.starts_with("fig1.mj") {
             println!("  {line}");
         }

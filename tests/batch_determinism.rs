@@ -1,21 +1,20 @@
 //! The parallel batched query engine must be a pure performance feature:
 //! for every slicer variant, every benchmark program and every thread
-//! count, its output is bit-for-bit the sequential single-query output.
+//! count, `AnalysisSession::query_batch` answers bit-for-bit like the
+//! reference slicers (`slice_from`, `cs_slice`) run one query at a time.
 //!
 //! This holds by construction — workers share only immutable data (the
 //! frozen CSR graph, the down-edge index) and per-worker scratch reuse
 //! clears or memoises only query-independent facts — and this test pins
 //! the construction down against the whole evaluation suite.
 
-// This suite deliberately exercises the legacy node-level entrypoints: it
-// pins the batch engines against the exact sequential slicers they wrap,
-// below the session/Query layer (which tests/session_api.rs covers).
-#![allow(deprecated)]
-
-use thinslice::{batch, cs_slice, slice_from, SliceKind};
-use thinslice_ir::InstrKind;
-use thinslice_pta::PtaConfig;
-use thinslice_sdg::{DepGraph, NodeId};
+use thinslice::{
+    cs_slice, slice_from, AnalysisSession, Engine, Query, RunCtx, SliceKind, SliceResult, StmtSet,
+};
+use thinslice_ir::{InstrKind, StmtRef};
+use thinslice_pta::{ModRef, PtaConfig};
+use thinslice_sdg::{build_cs, DepGraph, NodeId, Sdg};
+use thinslice_util::FxHashSet;
 
 const BFS_KINDS: [SliceKind; 3] = [
     SliceKind::Thin,
@@ -23,44 +22,78 @@ const BFS_KINDS: [SliceKind; 3] = [
     SliceKind::TraditionalFull,
 ];
 
-/// One query per print statement of the program, resolved against `graph`.
-fn print_queries<G: DepGraph>(program: &thinslice_ir::Program, graph: &G) -> Vec<Vec<NodeId>> {
+/// Every print statement of the session's program that `graph` can slice
+/// from.
+fn print_seeds<G: DepGraph>(program: &thinslice_ir::Program, graph: &G) -> Vec<StmtRef> {
     program
         .all_stmts()
         .filter(|s| matches!(program.instr(*s).kind, InstrKind::Print { .. }))
-        .map(|s| graph.stmt_nodes_of(s).to_vec())
-        .filter(|nodes| !nodes.is_empty())
+        .filter(|s| !graph.stmt_nodes_of(*s).is_empty())
         .collect()
 }
 
-/// Tiles `queries` so batches are large enough to take the prefiltered
-/// fast path as well as the small-batch path.
-fn tiled(queries: &[Vec<NodeId>], n: usize) -> Vec<Vec<NodeId>> {
-    queries.iter().cycle().take(n).cloned().collect()
+/// One query per seed, tiled to `n` queries when `n` is larger, so batches
+/// can be made large enough to take the prefiltered and memoising fast
+/// paths as well as the small-batch path.
+fn queries(seeds: &[StmtRef], n: usize, kind: SliceKind, engine: Engine) -> Vec<Query> {
+    seeds
+        .iter()
+        .cycle()
+        .take(n.max(seeds.len()))
+        .map(|&s| Query::new(vec![s], kind, engine))
+        .collect()
+}
+
+fn batch(s: &mut AnalysisSession, queries: &[Query], threads: usize) -> Vec<SliceResult> {
+    s.query_batch(queries, threads)
+        .into_iter()
+        .map(|o| o.slice.expect("no faults injected"))
+        .collect()
+}
+
+/// The heap-parameter graph the reference tabulation walks (the paper's
+/// §5.3 pairs tabulation with heap parameters), built outside the session
+/// from the session's points-to result.
+fn reference_cs_graph(s: &mut AnalysisSession) -> Sdg {
+    let program = s.program().clone();
+    let pta = s.pta();
+    build_cs(&program, pta, &ModRef::compute(&program, pta))
+}
+
+/// Asserts that a batch of `qs` at `threads` answers every query exactly
+/// like `reference` (statements in order, and visited nodes).
+fn assert_matches_reference(
+    s: &mut AnalysisSession,
+    qs: &[Query],
+    threads: usize,
+    reference: impl Fn(&Query) -> (StmtSet, FxHashSet<NodeId>),
+    what: &str,
+) {
+    let batched = batch(s, qs, threads);
+    assert_eq!(batched.len(), qs.len());
+    for (got, q) in batched.iter().zip(qs) {
+        let (stmts, nodes) = reference(q);
+        assert_eq!(got.stmts, stmts, "{what} at {threads} threads");
+        assert_eq!(got.nodes, nodes, "{what} at {threads} threads");
+    }
 }
 
 #[test]
 fn batched_bfs_slices_match_sequential_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        let queries = print_queries(&a.program, &a.csr);
-        assert!(!queries.is_empty(), "{}: no print queries", b.name);
+        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+        let sdg = s.ci_sdg().clone();
+        let seeds = print_seeds(s.program(), &sdg);
+        assert!(!seeds.is_empty(), "{}: no print queries", b.name);
         for kind in BFS_KINDS {
-            let sequential: Vec<_> = queries
-                .iter()
-                .map(|q| slice_from(&a.sdg, q, kind))
-                .collect();
+            let qs = queries(&seeds, 0, kind, Engine::Ci);
+            let reference = |q: &Query| {
+                let r = slice_from(&sdg, sdg.stmt_nodes_of(q.seeds[0]), kind);
+                (r.stmts, r.nodes)
+            };
             for threads in [1, 2, 4, 8] {
-                let batched = batch::slices(&a.csr, &queries, kind, threads);
-                assert_eq!(batched.len(), sequential.len());
-                for (got, want) in batched.iter().zip(&sequential) {
-                    assert_eq!(
-                        got.stmts, want.stmts,
-                        "{}: {kind:?} at {threads} threads",
-                        b.name
-                    );
-                    assert_eq!(got.nodes, want.nodes, "{}: {kind:?}", b.name);
-                }
+                let what = format!("{}: {kind:?}", b.name);
+                assert_matches_reference(&mut s, &qs, threads, reference, &what);
             }
         }
     }
@@ -69,24 +102,17 @@ fn batched_bfs_slices_match_sequential_on_all_benchmarks() {
 #[test]
 fn batched_tabulation_matches_sequential_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        // The tabulation is paired with the heap-parameter graph, as in
-        // the paper (§5.3).
-        let cs_sdg = a.build_cs_sdg();
-        let cs_frozen = cs_sdg.freeze();
-        let queries = print_queries(&a.program, &cs_frozen);
-        assert!(!queries.is_empty(), "{}: no print queries", b.name);
-        let sequential: Vec<_> = queries
-            .iter()
-            .map(|q| cs_slice(&cs_sdg, q, SliceKind::Thin))
-            .collect();
+        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+        let cs_sdg = reference_cs_graph(&mut s);
+        let seeds = print_seeds(s.program(), &cs_sdg);
+        assert!(!seeds.is_empty(), "{}: no print queries", b.name);
+        let qs = queries(&seeds, 0, SliceKind::Thin, Engine::Cs);
+        let reference = |q: &Query| {
+            let r = cs_slice(&cs_sdg, cs_sdg.stmt_nodes_of(q.seeds[0]), SliceKind::Thin);
+            (r.stmts, r.nodes)
+        };
         for threads in [1, 2, 4, 8] {
-            let batched = batch::cs_slices(&cs_frozen, &queries, SliceKind::Thin, threads);
-            assert_eq!(batched.len(), sequential.len());
-            for (got, want) in batched.iter().zip(&sequential) {
-                assert_eq!(got.stmts, want.stmts, "{}: {threads} threads", b.name);
-                assert_eq!(got.nodes, want.nodes, "{}", b.name);
-            }
+            assert_matches_reference(&mut s, &qs, threads, reference, b.name);
         }
     }
 }
@@ -95,29 +121,29 @@ fn batched_tabulation_matches_sequential_on_all_benchmarks() {
 fn large_batches_match_sequential_through_every_fast_path() {
     // Tile queries past the batch engine's internal thresholds so the
     // per-batch edge prefilter and the scratch-memoisation paths are all
-    // exercised, on one benchmark from each heap mode.
+    // exercised, on both engines.
     let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml exists");
-    let a = b.analyze(PtaConfig::default());
+    let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
 
-    let queries = tiled(&print_queries(&a.program, &a.csr), 20);
+    let sdg = s.ci_sdg().clone();
+    let seeds = print_seeds(s.program(), &sdg);
     for kind in BFS_KINDS {
-        let batched = batch::slices(&a.csr, &queries, kind, 2);
-        for (got, seeds) in batched.iter().zip(&queries) {
-            let want = slice_from(&a.sdg, seeds, kind);
-            assert_eq!(got.stmts, want.stmts, "{kind:?}");
-            assert_eq!(got.nodes, want.nodes, "{kind:?}");
-        }
+        let qs = queries(&seeds, 20, kind, Engine::Ci);
+        let reference = |q: &Query| {
+            let r = slice_from(&sdg, sdg.stmt_nodes_of(q.seeds[0]), kind);
+            (r.stmts, r.nodes)
+        };
+        assert_matches_reference(&mut s, &qs, 2, reference, &format!("CI {kind:?}"));
     }
 
-    let cs_sdg = a.build_cs_sdg();
-    let cs_frozen = cs_sdg.freeze();
-    let cs_queries = tiled(&print_queries(&a.program, &cs_frozen), 20);
+    let cs_sdg = reference_cs_graph(&mut s);
+    let cs_seeds = print_seeds(s.program(), &cs_sdg);
     for kind in BFS_KINDS {
-        let batched = batch::cs_slices(&cs_frozen, &cs_queries, kind, 2);
-        for (got, seeds) in batched.iter().zip(&cs_queries) {
-            let want = cs_slice(&cs_sdg, seeds, kind);
-            assert_eq!(got.stmts, want.stmts, "{kind:?}");
-            assert_eq!(got.nodes, want.nodes, "{kind:?}");
-        }
+        let qs = queries(&cs_seeds, 20, kind, Engine::Cs);
+        let reference = |q: &Query| {
+            let r = cs_slice(&cs_sdg, cs_sdg.stmt_nodes_of(q.seeds[0]), kind);
+            (r.stmts, r.nodes)
+        };
+        assert_matches_reference(&mut s, &qs, 2, reference, &format!("CS {kind:?}"));
     }
 }

@@ -6,12 +6,19 @@
 //! index-sensitive, per-run) must all appear in the *static* thin slice of
 //! the same seed. Likewise for the full data slices, and the dynamic call
 //! targets must be within the static call graph.
+//!
+//! The static side is whatever `AnalysisSession::query` serves: both
+//! engines (context-insensitive reachability and context-sensitive
+//! tabulation), on a freshly built session and on one restored from its
+//! snapshot.
 
-use thinslice::Analysis;
+use std::collections::BTreeSet;
+use thinslice::{source_hash, AnalysisSession, Engine, Query, RunCtx, SliceKind, StmtSet};
 use thinslice_interp::{dynamic_data_slice, dynamic_thin_slice, run, ExecConfig, Outcome};
-use thinslice_ir::InstrKind;
+use thinslice_ir::{InstrKind, StmtRef};
+use thinslice_pta::PtaConfig;
 use thinslice_suite::{generate, GeneratorConfig};
-use thinslice_util::SmallRng;
+use thinslice_util::{FxHashMap, SmallRng};
 
 fn exec_config() -> ExecConfig {
     ExecConfig {
@@ -26,34 +33,76 @@ fn exec_config() -> ExecConfig {
     }
 }
 
-/// Runs one program and checks dynamic ⊆ static for every executed print.
+/// Every (engine, kind) pair the oracle checks; the thin and data slices
+/// are compared against their dynamic counterparts.
+const SLICERS: [(Engine, SliceKind); 4] = [
+    (Engine::Ci, SliceKind::Thin),
+    (Engine::Ci, SliceKind::TraditionalData),
+    (Engine::Cs, SliceKind::Thin),
+    (Engine::Cs, SliceKind::TraditionalData),
+];
+
+/// The served static slice of every seed under every slicer.
+fn static_slices(
+    s: &mut AnalysisSession,
+    seeds: &BTreeSet<StmtRef>,
+) -> FxHashMap<(StmtRef, Engine, SliceKind), StmtSet> {
+    let mut out = FxHashMap::default();
+    for &seed in seeds {
+        for (engine, kind) in SLICERS {
+            let slice = s.query(&Query::new(vec![seed], kind, engine));
+            assert!(slice.completeness.is_complete() && !slice.degraded);
+            out.insert((seed, engine, kind), slice.stmts);
+        }
+    }
+    out
+}
+
+/// Runs one program and checks dynamic ⊆ static for every executed print,
+/// on both engines, for a fresh session and for its snapshot-restored twin.
 fn check_program(sources: &[(&str, &str)], config: &ExecConfig) {
-    let analysis = Analysis::build(sources).expect("compiles");
-    let exec = run(&analysis.program, config);
+    let mut live = AnalysisSession::new(sources).expect("compiles");
+    let exec = run(live.program(), config);
     // Whatever the outcome, the recorded prefix of the trace is valid.
+    let seeds: BTreeSet<StmtRef> = exec
+        .prints
+        .iter()
+        .map(|(event, _)| exec.events[*event].stmt)
+        .filter(|&stmt| !live.ci_sdg().stmt_nodes_of(stmt).is_empty())
+        .collect();
+    let fresh = static_slices(&mut live, &seeds);
+    let key = source_hash(sources);
+    let bytes = live.write_snapshot(&key).expect("complete stages snapshot");
+    let mut restored =
+        AnalysisSession::from_snapshot(&bytes, &key, PtaConfig::default(), RunCtx::disabled())
+            .expect("a fresh snapshot restores");
+    let warm = static_slices(&mut restored, &seeds);
+
     for (idx, (event, _)) in exec.prints.iter().enumerate() {
-        let seed_stmt = exec.events[*event].stmt;
-        if analysis.sdg.stmt_nodes_of(seed_stmt).is_empty() {
+        let seed = exec.events[*event].stmt;
+        if !seeds.contains(&seed) {
             continue;
         }
-        let static_thin = analysis.thin_slice(&[seed_stmt]).stmt_set();
-        let static_data = analysis.traditional_slice(&[seed_stmt]).stmt_set();
         let dyn_thin = dynamic_thin_slice(&exec, *event);
         let dyn_data = dynamic_data_slice(&exec, *event);
-        for s in &dyn_thin.stmts {
-            assert!(
-                static_thin.contains(s),
-                "print #{idx}: dynamic thin stmt {s:?} missing from static thin slice"
-            );
-        }
-        for s in &dyn_data.stmts {
-            assert!(
-                static_data.contains(s),
-                "print #{idx}: dynamic data stmt {s:?} missing from static data slice"
-            );
-        }
         // Thin ⊆ data dynamically too.
         assert!(dyn_thin.stmts.is_subset(&dyn_data.stmts));
+        for (session, slices) in [("fresh", &fresh), ("restored", &warm)] {
+            for (engine, kind) in SLICERS {
+                let dynamic = match kind {
+                    SliceKind::Thin => &dyn_thin,
+                    _ => &dyn_data,
+                };
+                let served = &slices[&(seed, engine, kind)];
+                for s in &dynamic.stmts {
+                    assert!(
+                        served.contains(*s),
+                        "print #{idx}: dynamic {kind:?} stmt {s:?} missing from the \
+                         {session} session's {engine:?} slice"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -70,8 +119,8 @@ fn benchmarks_actually_execute() {
     // Every benchmark must run far enough to print something — otherwise
     // the differential test is vacuous.
     for b in thinslice_suite::all_benchmarks() {
-        let analysis = Analysis::build(&b.sources).unwrap();
-        let exec = run(&analysis.program, &exec_config());
+        let s = AnalysisSession::new(&b.sources).unwrap();
+        let exec = run(s.program(), &exec_config());
         assert!(
             !exec.prints.is_empty() || !matches!(exec.outcome, Outcome::Finished),
             "{}: executed {} steps, printed nothing, finished silently",
@@ -111,9 +160,10 @@ class Main {
         Names.printNames(firstNames);
     }
 }"#;
-    let analysis = Analysis::build(&[("fig1.mj", src)]).unwrap();
+    let s = AnalysisSession::new(&[("fig1.mj", src)]).unwrap();
+    let program = s.program();
     let exec = run(
-        &analysis.program,
+        program,
         &ExecConfig {
             lines: vec!["John Doe".into()],
             ..ExecConfig::default()
@@ -128,12 +178,11 @@ class Main {
 
     let seed = exec.prints[0].0;
     let dyn_thin = dynamic_thin_slice(&exec, seed);
-    let buggy = analysis
-        .program
+    let buggy = program
         .all_stmts()
         .find(|s| {
-            matches!(&analysis.program.instr(*s).kind, InstrKind::Call { callee, .. }
-                if analysis.program.methods[*callee].name == "substring")
+            matches!(&program.instr(*s).kind, InstrKind::Call { callee, .. }
+                if program.methods[*callee].name == "substring")
         })
         .unwrap();
     assert!(

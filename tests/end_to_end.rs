@@ -2,27 +2,37 @@
 //! analyses, and satisfies the structural relations between the four
 //! slicers.
 
-use thinslice::{Analysis, Engine, Query, RunCtx, SliceKind};
-use thinslice_ir::InstrKind;
+use thinslice::{AnalysisSession, Engine, Query, RunCtx, SliceKind};
+use thinslice_ir::{InstrKind, StmtRef};
 use thinslice_pta::PtaConfig;
 
-/// Every print statement of every benchmark, as a slicing seed.
-fn print_seeds(a: &Analysis) -> Vec<thinslice_ir::StmtRef> {
-    a.program
+/// Every reachable print statement of the session's program, as a slicing
+/// seed.
+fn print_seeds(s: &mut AnalysisSession) -> Vec<StmtRef> {
+    let program = s.program();
+    let prints: Vec<StmtRef> = program
         .all_stmts()
-        .filter(|s| matches!(a.program.instr(*s).kind, InstrKind::Print { .. }))
-        .filter(|s| !a.sdg.stmt_nodes_of(*s).is_empty())
+        .filter(|st| matches!(program.instr(*st).kind, InstrKind::Print { .. }))
+        .collect();
+    let sdg = s.ci_sdg();
+    prints
+        .into_iter()
+        .filter(|st| !sdg.stmt_nodes_of(*st).is_empty())
         .collect()
+}
+
+fn ci_slice(s: &mut AnalysisSession, seed: StmtRef, kind: SliceKind) -> thinslice::SliceResult {
+    s.query(&Query::new(vec![seed], kind, Engine::Ci))
 }
 
 #[test]
 fn slicer_inclusion_hierarchy_holds_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        for seed in print_seeds(&a) {
-            let thin = a.thin_slice(&[seed]);
-            let data = a.traditional_slice(&[seed]);
-            let full = a.full_slice(&[seed]);
+        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+        for seed in print_seeds(&mut s) {
+            let thin = ci_slice(&mut s, seed, SliceKind::Thin);
+            let data = ci_slice(&mut s, seed, SliceKind::TraditionalData);
+            let full = ci_slice(&mut s, seed, SliceKind::TraditionalFull);
             let thin_set = thin.stmt_set();
             let data_set = data.stmt_set();
             let full_set = full.stmt_set();
@@ -49,16 +59,15 @@ fn slicer_inclusion_hierarchy_holds_on_all_benchmarks() {
 #[test]
 fn context_sensitive_slices_are_never_larger() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        for seed in print_seeds(&a).into_iter().take(3) {
-            let nodes = a.sdg.stmt_nodes_of(seed).to_vec();
+        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+        for seed in print_seeds(&mut s).into_iter().take(3) {
+            let sdg = s.ci_sdg();
+            let nodes = sdg.stmt_nodes_of(seed).to_vec();
             // Tabulation vs reachability on the *same* graph: the session's
             // Cs engine answers from the heap-parameter graph instead, so
-            // this refinement check stays on the node-level entrypoints.
-            #[allow(deprecated)]
-            let ci = thinslice::slice_from(&a.sdg, &nodes, SliceKind::Thin);
-            #[allow(deprecated)]
-            let cs = thinslice::cs_slice(&a.sdg, &nodes, SliceKind::Thin);
+            // this refinement check runs the reference slicers directly.
+            let ci = thinslice::slice_from(sdg, &nodes, SliceKind::Thin);
+            let cs = thinslice::cs_slice(sdg, &nodes, SliceKind::Thin);
             assert!(
                 cs.stmts.is_subset(&ci.stmts),
                 "{}: tabulation must not add statements at {seed:?}",
@@ -74,10 +83,9 @@ fn heap_parameter_graphs_preserve_thin_reachability() {
     // value reachable in the CI thin slice through one store/load pair is
     // reachable in the CS graph too (possibly through heap parameters).
     let b = thinslice_suite::benchmark_named("jtopas").unwrap();
-    let a = b.analyze(PtaConfig::default());
     let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
 
-    for seed in print_seeds(&a) {
+    for seed in print_seeds(&mut s) {
         let ci = s.query(&Query::new(vec![seed], SliceKind::Thin, Engine::Ci));
         let cs = s.query(&Query::new(vec![seed], SliceKind::Thin, Engine::Cs));
         // Not equality (the CS graph is context-sensitive and strictly more
@@ -101,14 +109,14 @@ fn noobjsens_slices_contain_the_precise_slices() {
     // one (monotonicity of abstraction coarsening).
     for name in ["nanoxml", "jack"] {
         let b = thinslice_suite::benchmark_named(name).unwrap();
-        let precise = b.analyze(PtaConfig::default());
-        let coarse = b.analyze(PtaConfig::without_object_sensitivity());
-        for seed in print_seeds(&precise).into_iter().take(4) {
-            if coarse.sdg.stmt_nodes_of(seed).is_empty() {
+        let mut precise = b.session(PtaConfig::default(), RunCtx::disabled());
+        let mut coarse = b.session(PtaConfig::without_object_sensitivity(), RunCtx::disabled());
+        for seed in print_seeds(&mut precise).into_iter().take(4) {
+            if coarse.ci_sdg().stmt_nodes_of(seed).is_empty() {
                 continue;
             }
-            let p = precise.thin_slice(&[seed]).stmt_set();
-            let c = coarse.thin_slice(&[seed]).stmt_set();
+            let p = ci_slice(&mut precise, seed, SliceKind::Thin).stmt_set();
+            let c = ci_slice(&mut coarse, seed, SliceKind::Thin).stmt_set();
             assert!(
                 p.is_subset(&c),
                 "{name}: coarsening must not remove statements at {seed:?}"
@@ -124,14 +132,14 @@ fn all_examples_compile_against_the_suite() {
     // bug task. This is the contract the examples and tables rely on.
     for task in thinslice_suite::all_bug_tasks() {
         let b = thinslice_suite::benchmark_named(task.benchmark).unwrap();
-        let a = b.analyze(PtaConfig::default());
-        let resolved = task.resolve(&b, &a);
+        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+        let resolved = task.resolve(&b, &mut s);
         assert!(!resolved.seeds.is_empty(), "{}", task.id);
     }
     for task in thinslice_suite::all_cast_tasks() {
         let b = thinslice_suite::benchmark_named(task.benchmark).unwrap();
-        let a = b.analyze(PtaConfig::default());
-        let resolved = task.resolve(&b, &a);
+        let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
+        let resolved = task.resolve(&b, &mut s);
         assert!(!resolved.seeds.is_empty(), "{}", task.id);
     }
 }

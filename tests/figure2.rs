@@ -16,7 +16,7 @@
 //! and `z` alias, and line 3 produces the stored value. Lines 1/2/4 are
 //! base-pointer explainers, line 6 a control explainer.
 
-use thinslice::{Analysis, SliceKind};
+use thinslice::{AnalysisSession, Engine, Query, SliceKind, SliceResult};
 use thinslice_repro::prelude::*;
 
 const FIGURE2: &str = r#"class A {
@@ -36,21 +36,25 @@ class Main {
     }
 }"#;
 
-fn line_stmts(a: &Analysis, line: u32) -> Vec<thinslice_ir::StmtRef> {
-    a.stmts_at_line("fig2.mj", line)
+fn figure2() -> AnalysisSession {
+    AnalysisSession::new(&[("fig2.mj", FIGURE2)]).unwrap()
+}
+
+/// The CI slice of `kind` from the seed on line 12, `A v = z.f;`.
+fn slice_from_line_12(s: &mut AnalysisSession, kind: SliceKind) -> SliceResult {
+    let seed = s.seed_at_line("fig2.mj", 12).expect("seed reachable");
+    s.query(&Query::new(seed, kind, Engine::Ci))
 }
 
 #[test]
 fn thin_slice_is_exactly_the_producers() {
-    let a = Analysis::build(&[("fig2.mj", FIGURE2)]).unwrap();
-    // Seed: line 12, `A v = z.f;`.
-    let seed = a.seed_at_line("fig2.mj", 12).expect("seed reachable");
-    let thin = a.thin_slice(&seed);
+    let mut a = figure2();
+    let thin = slice_from_line_12(&mut a, SliceKind::Thin);
 
     let lines: std::collections::BTreeSet<u32> = thin
         .stmts
         .iter()
-        .map(|&s| a.program.instr(s).span.line)
+        .map(|&s| a.program().instr(s).span.line)
         .collect();
 
     // Producers: the seed (12), the store (10), the value allocation (8).
@@ -72,15 +76,14 @@ fn thin_slice_is_exactly_the_producers() {
 
 #[test]
 fn traditional_slice_adds_the_explainers() {
-    let a = Analysis::build(&[("fig2.mj", FIGURE2)]).unwrap();
-    let seed = a.seed_at_line("fig2.mj", 12).unwrap();
-    let data = a.traditional_slice(&seed);
-    let full = a.full_slice(&seed);
+    let mut a = figure2();
+    let data = slice_from_line_12(&mut a, SliceKind::TraditionalData);
+    let full = slice_from_line_12(&mut a, SliceKind::TraditionalFull);
 
-    let lines_of = |s: &thinslice::Slice| -> std::collections::BTreeSet<u32> {
+    let lines_of = |s: &SliceResult| -> std::collections::BTreeSet<u32> {
         s.stmts
             .iter()
-            .map(|&st| a.program.instr(st).span.line)
+            .map(|&st| a.program().instr(st).span.line)
             .collect()
     };
     let data_lines = lines_of(&data);
@@ -108,32 +111,27 @@ fn traditional_slice_adds_the_explainers() {
 
 #[test]
 fn edge_classification_matches_figure3() {
-    let a = Analysis::build(&[("fig2.mj", FIGURE2)]).unwrap();
+    let mut a = figure2();
     // The seed `v = z.f` (a Load) must have: one producer edge to the
     // store, one excluded (base-pointer) edge to z's def, one control edge
     // to the conditional.
-    let load = line_stmts(&a, 12)
+    let program = a.program().clone();
+    let load = a
+        .stmts_at_line("fig2.mj", 12)
         .into_iter()
-        .find(|s| {
-            matches!(
-                a.program.instr(*s).kind,
-                thinslice_ir::InstrKind::Load { .. }
-            )
-        })
+        .find(|s| matches!(program.instr(*s).kind, thinslice_ir::InstrKind::Load { .. }))
         .expect("the field load");
-    let node = a.sdg.stmt_node(load).unwrap();
+    let graph = a.ci_sdg();
+    let node = graph.stmt_node(load).unwrap();
     let mut has_producer_to_store = false;
     let mut has_base_pointer = false;
     let mut has_control = false;
-    for e in a.sdg.deps(node) {
+    for e in graph.deps(node) {
         match e.kind {
             thinslice_sdg::EdgeKind::Flow {
                 excluded_from_thin: false,
-            } if a.sdg.node(e.target).as_stmt().is_some_and(|s| {
-                matches!(
-                    a.program.instr(s).kind,
-                    thinslice_ir::InstrKind::Store { .. }
-                )
+            } if graph.node(e.target).as_stmt().is_some_and(|s| {
+                matches!(program.instr(s).kind, thinslice_ir::InstrKind::Store { .. })
             }) =>
             {
                 has_producer_to_store = true;

@@ -96,9 +96,8 @@ fn claim4_scalability() {
         .and_then(|s| sdg.stmt_node(s))
         .unwrap();
     let t1 = Instant::now();
-    // Times the raw node-level slicer on the hand-built SDG so the
-    // comparison excludes session bookkeeping.
-    #[allow(deprecated)]
+    // Times the reference slicer on the hand-built SDG so the comparison
+    // excludes session bookkeeping.
     let _ = thinslice::slice_from(&sdg, &[seed], thinslice::SliceKind::Thin);
     let slice_time = t1.elapsed();
     assert!(
@@ -126,14 +125,18 @@ fn claim4_scalability() {
 #[test]
 fn table1_cloning_shows_on_every_benchmark() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        let stats = ProgramStats::compute(&a.program, &a.pta);
+        let stats = program_stats(&b, PtaConfig::default());
         assert!(stats.cg_nodes > stats.methods, "{}: {stats:?}", b.name);
         // And the coarse configuration has exactly one node per method.
-        let coarse = b.analyze(PtaConfig::without_object_sensitivity());
-        let cstats = ProgramStats::compute(&coarse.program, &coarse.pta);
+        let cstats = program_stats(&b, PtaConfig::without_object_sensitivity());
         assert_eq!(cstats.cg_nodes, cstats.methods, "{}", b.name);
     }
+}
+
+fn program_stats(b: &thinslice_suite::Benchmark, config: PtaConfig) -> ProgramStats {
+    let mut s = b.session(config, thinslice::RunCtx::disabled());
+    let program = s.program().clone();
+    ProgramStats::compute(&program, s.pta())
 }
 
 fn thinslice_bench_rows(tasks: &[thinslice_suite::Task]) -> Vec<thinslice_suite::TaskResult> {
@@ -142,20 +145,21 @@ fn thinslice_bench_rows(tasks: &[thinslice_suite::Task]) -> Vec<thinslice_suite:
         &'static str,
         (
             thinslice_suite::Benchmark,
-            thinslice::Analysis,
-            thinslice::Analysis,
+            thinslice::AnalysisSession,
+            thinslice::AnalysisSession,
         ),
     > = std::collections::HashMap::new();
     for task in tasks {
-        let entry = cache.entry(task.benchmark).or_insert_with(|| {
+        let (b, precise, noobjsens) = cache.entry(task.benchmark).or_insert_with(|| {
             let b = thinslice_suite::benchmark_named(task.benchmark).unwrap();
-            let p = b.analyze(PtaConfig::default());
-            let n = b.analyze(PtaConfig::without_object_sensitivity());
+            let p = b.session(PtaConfig::default(), thinslice::RunCtx::disabled());
+            let n = b.session(
+                PtaConfig::without_object_sensitivity(),
+                thinslice::RunCtx::disabled(),
+            );
             (b, p, n)
         });
-        rows.push(thinslice_suite::run_task(
-            &entry.0, task, &entry.1, &entry.2,
-        ));
+        rows.push(thinslice_suite::run_task(b, task, precise, noobjsens));
     }
     rows
 }

@@ -1,13 +1,13 @@
-//! The unified `AnalysisSession`/`Query` entrypoint is a pure re-plumbing
-//! of the legacy free-function cross-product: for every slice kind, both
-//! engines, and every suite benchmark, the Query path answers bit-for-bit
-//! identically to the deprecated entrypoints it subsumes; governed queries
-//! return sound truncations of the full answers; and the batched path is
-//! indistinguishable from the sequential one.
+//! The unified `AnalysisSession`/`Query` entrypoint answers like the
+//! reference slicers: for every slice kind, both engines, and every suite
+//! benchmark, the Query path answers bit-for-bit identically to
+//! `slice_from` (one-shot BFS) and `cs_slice` (hash-store tabulation);
+//! governed queries return sound truncations of the full answers; and the
+//! batched path is indistinguishable from the sequential one.
 
 use thinslice::{Budget, Completeness, Engine, Query, QueryPolicy, RunCtx, SliceKind};
 use thinslice_ir::InstrKind;
-use thinslice_pta::PtaConfig;
+use thinslice_pta::{ModRef, PtaConfig};
 
 const KINDS: [SliceKind; 3] = [
     SliceKind::Thin,
@@ -25,18 +25,17 @@ fn print_seeds(program: &thinslice_ir::Program, n: usize) -> Vec<thinslice_ir::S
 }
 
 #[test]
-fn ci_queries_match_the_legacy_sparse_slicer_on_all_benchmarks() {
+fn ci_queries_match_the_reference_slicer_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
         let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
-        for seed in print_seeds(&a.program, 3) {
-            let nodes = a.sdg.stmt_nodes_of(seed).to_vec();
+        for seed in print_seeds(s.program(), 3) {
+            // The reference BFS walks the growable graph the session froze.
+            let nodes = s.ci_sdg().stmt_nodes_of(seed).to_vec();
             if nodes.is_empty() {
                 continue;
             }
             for kind in KINDS {
-                #[allow(deprecated)]
-                let legacy = thinslice::slice_from(&a.sdg, &nodes, kind);
+                let reference = thinslice::slice_from(s.ci_sdg(), &nodes, kind);
                 let got = s.query(&Query::new(vec![seed], kind, Engine::Ci));
                 assert_eq!(got.engine, Engine::Ci);
                 assert_eq!(got.kind, kind);
@@ -44,33 +43,35 @@ fn ci_queries_match_the_legacy_sparse_slicer_on_all_benchmarks() {
                 assert!(!got.degraded);
                 // Bit-identical: same statements in the same BFS order,
                 // same visited node set.
-                assert_eq!(got.stmts, legacy.stmts, "{}: {kind:?}", b.name);
-                assert_eq!(got.nodes, legacy.nodes, "{}: {kind:?}", b.name);
+                assert_eq!(got.stmts, reference.stmts, "{}: {kind:?}", b.name);
+                assert_eq!(got.nodes, reference.nodes, "{}: {kind:?}", b.name);
             }
         }
     }
 }
 
 #[test]
-fn cs_queries_match_the_legacy_tabulation_on_all_benchmarks() {
+fn cs_queries_match_the_reference_tabulation_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
-        let a = b.analyze(PtaConfig::default());
-        let cs_sdg = a.build_cs_sdg();
         let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
-        for seed in print_seeds(&a.program, 2) {
+        // The reference tabulation walks a heap-parameter graph built
+        // outside the session, from the session's points-to result.
+        let program = s.program().clone();
+        let pta = s.pta();
+        let cs_sdg = thinslice_sdg::build_cs(&program, pta, &ModRef::compute(&program, pta));
+        for seed in print_seeds(&program, 2) {
             let nodes = cs_sdg.stmt_nodes_of(seed).to_vec();
             if nodes.is_empty() {
                 continue;
             }
             for kind in KINDS {
-                #[allow(deprecated)]
-                let legacy = thinslice::cs_slice(&cs_sdg, &nodes, kind);
+                let reference = thinslice::cs_slice(&cs_sdg, &nodes, kind);
                 let got = s.query(&Query::new(vec![seed], kind, Engine::Cs));
                 assert_eq!(got.engine, Engine::Cs);
                 assert!(got.completeness.is_complete());
                 assert!(!got.degraded);
-                assert_eq!(got.stmts, legacy.stmts, "{}: {kind:?}", b.name);
-                assert_eq!(got.nodes, legacy.nodes, "{}: {kind:?}", b.name);
+                assert_eq!(got.stmts, reference.stmts, "{}: {kind:?}", b.name);
+                assert_eq!(got.nodes, reference.nodes, "{}: {kind:?}", b.name);
             }
         }
     }
@@ -169,11 +170,8 @@ fn a_fresh_session_answers_like_a_warm_one() {
     // never change answers — a session that has already answered other
     // queries agrees with a cold session on every later query.
     let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml exists");
-    let seeds = {
-        let a = b.analyze(PtaConfig::default());
-        print_seeds(&a.program, 4)
-    };
     let mut warm = b.session(PtaConfig::default(), RunCtx::disabled());
+    let seeds = print_seeds(warm.program(), 4);
     // Warm the session up on everything once.
     for &seed in &seeds {
         for engine in [Engine::Ci, Engine::Cs] {

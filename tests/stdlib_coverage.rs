@@ -2,7 +2,7 @@
 //! compiled, analysed, sliced and executed — the static and dynamic
 //! results must agree per the differential contract.
 
-use thinslice::Analysis;
+use thinslice::{AnalysisSession, Engine, Query, SliceKind, SliceResult};
 use thinslice_interp::{dynamic_thin_slice, run, ExecConfig, Outcome};
 
 const WORKOUT: &str = r#"class Main {
@@ -64,10 +64,22 @@ const WORKOUT: &str = r#"class Main {
     }
 }"#;
 
+fn workout() -> AnalysisSession {
+    AnalysisSession::new(&[("workout.mj", WORKOUT)]).unwrap()
+}
+
+fn ci_slice(
+    s: &mut AnalysisSession,
+    seeds: Vec<thinslice_ir::StmtRef>,
+    kind: SliceKind,
+) -> SliceResult {
+    s.query(&Query::new(seeds, kind, Engine::Ci))
+}
+
 #[test]
 fn container_workout_executes_correctly() {
-    let analysis = Analysis::build(&[("workout.mj", WORKOUT)]).unwrap();
-    let exec = run(&analysis.program, &ExecConfig::default());
+    let analysis = workout();
+    let exec = run(analysis.program(), &ExecConfig::default());
     assert_eq!(exec.outcome, Outcome::Finished, "{:?}", exec.outcome);
     let texts: Vec<&str> = exec.prints.iter().map(|(_, t)| t.as_str()).collect();
     assert_eq!(
@@ -96,14 +108,14 @@ fn container_workout_executes_correctly() {
 
 #[test]
 fn container_workout_dynamic_slices_are_subsets() {
-    let analysis = Analysis::build(&[("workout.mj", WORKOUT)]).unwrap();
-    let exec = run(&analysis.program, &ExecConfig::default());
+    let mut analysis = workout();
+    let exec = run(analysis.program(), &ExecConfig::default());
     for (event, _) in &exec.prints {
         let seed = exec.events[*event].stmt;
-        if analysis.sdg.stmt_nodes_of(seed).is_empty() {
+        if analysis.ci_sdg().stmt_nodes_of(seed).is_empty() {
             continue;
         }
-        let static_thin = analysis.thin_slice(&[seed]).stmt_set();
+        let static_thin = ci_slice(&mut analysis, vec![seed], SliceKind::Thin).stmt_set();
         let dynamic = dynamic_thin_slice(&exec, *event);
         for s in &dynamic.stmts {
             assert!(
@@ -119,24 +131,24 @@ fn container_workout_thin_slices_skip_growth_machinery() {
     // Pushing 12 items forces Vector.grow; the grown backing array is a
     // base-pointer concern and its length computation must stay out of the
     // thin slice of a retrieved value.
-    let analysis = Analysis::build(&[("workout.mj", WORKOUT)]).unwrap();
+    let mut analysis = workout();
     let line = WORKOUT
         .lines()
         .position(|l| l.contains("print((String) v.get(0));"))
         .unwrap() as u32
         + 1;
     let seeds = analysis.seed_at_line("workout.mj", line).unwrap();
-    let thin = analysis.thin_slice(&seeds);
-    let trad = analysis.traditional_slice(&seeds);
-    let vector = analysis.program.class_named("Vector").unwrap();
-    let grow = analysis.program.resolve_method(vector, "grow").unwrap();
-    let grow_alloc = analysis
-        .program
+    let thin = ci_slice(&mut analysis, seeds.clone(), SliceKind::Thin);
+    let trad = ci_slice(&mut analysis, seeds, SliceKind::TraditionalData);
+    let program = analysis.program();
+    let vector = program.class_named("Vector").unwrap();
+    let grow = program.resolve_method(vector, "grow").unwrap();
+    let grow_alloc = program
         .all_stmts()
         .find(|s| {
             s.method == grow
                 && matches!(
-                    analysis.program.instr(*s).kind,
+                    program.instr(*s).kind,
                     thinslice_ir::InstrKind::NewArray { .. }
                 )
         })
@@ -151,13 +163,12 @@ fn container_workout_thin_slices_skip_growth_machinery() {
     );
     // But grow's element-copying store IS a producer (values flow through
     // it when the vector grows).
-    let copy_store = analysis
-        .program
+    let copy_store = program
         .all_stmts()
         .find(|s| {
             s.method == grow
                 && matches!(
-                    analysis.program.instr(*s).kind,
+                    program.instr(*s).kind,
                     thinslice_ir::InstrKind::ArrayStore { .. }
                 )
         })
