@@ -412,16 +412,6 @@ fn run_synthetic() -> SyntheticResult {
     }
 }
 
-struct IncrementalResult {
-    benchmarks: usize,
-    /// Median ms for a from-scratch rebuild + one warm thin CI slice.
-    full_rebuild_ms: f64,
-    /// Median ms for `AnalysisSession::update` + the same slice.
-    update_ms: f64,
-    /// full_rebuild_ms / update_ms — the edit-sized-invalidation payoff.
-    speedup: f64,
-}
-
 fn owned_sources(b: &Benchmark) -> Vec<(String, String)> {
     b.sources
         .iter()
@@ -451,66 +441,6 @@ fn thin_ci(s: &mut thinslice::AnalysisSession) -> thinslice::StmtSet {
     let seed = first_print_seed(s);
     s.query(&Query::new(vec![seed], SliceKind::Thin, Engine::Ci))
         .stmts
-}
-
-/// Edit-to-answer latency: for each Table 2 benchmark, toggle a warm
-/// session between two versions differing by one integer literal (the
-/// canonical single-method body edit) and time `update` + one thin CI
-/// slice, against building a fresh session + the same slice. Both paths
-/// are asserted bit-identical before anything is timed. Rounds pool
-/// across benchmarks; the medians are per-edit latencies.
-fn run_incremental(names: &[&'static str]) -> IncrementalResult {
-    use thinslice::AnalysisSession;
-    use thinslice_suite::edits::tweak_first_int;
-
-    let (mut full, mut upd) = (Histogram::new(), Histogram::new());
-    let mut benchmarks = 0usize;
-    for &name in names {
-        let b = benchmark_named(name).expect("table2 benchmark exists");
-        let v0: Vec<(String, String)> = owned_sources(&b);
-        let mut v1 = v0.clone();
-        v1[0].1 = tweak_first_int(&v0[0].1).expect("benchmark has an int literal");
-        benchmarks += 1;
-
-        // Correctness before timing: updated ≡ fresh on the edit.
-        let mut live = AnalysisSession::new(&as_refs(&v0)).expect("compiles");
-        let _ = thin_ci(&mut live);
-        live.update(&as_refs(&v1)).expect("update compiles");
-        let mut fresh = AnalysisSession::new(&as_refs(&v1)).expect("compiles");
-        assert_eq!(
-            thin_ci(&mut live),
-            thin_ci(&mut fresh),
-            "{name}: update ≡ rebuild"
-        );
-
-        for round in 0..(WARMUP + ROUNDS) {
-            // Alternate the edit direction so every round is a real edit.
-            let target = if round % 2 == 0 { &v0 } else { &v1 };
-            let refs = as_refs(target);
-
-            let start = Instant::now();
-            live.update(&refs).expect("update compiles");
-            std::hint::black_box(thin_ci(&mut live));
-            let t_upd = start.elapsed().as_secs_f64();
-
-            let start = Instant::now();
-            let mut scratch = AnalysisSession::new(&refs).expect("compiles");
-            std::hint::black_box(thin_ci(&mut scratch));
-            let t_full = start.elapsed().as_secs_f64();
-
-            if round >= WARMUP {
-                upd.record(t_upd);
-                full.record(t_full);
-            }
-        }
-    }
-    let (full_s, upd_s) = (full.median().max(1e-12), upd.median().max(1e-12));
-    IncrementalResult {
-        benchmarks,
-        full_rebuild_ms: full_s * 1e3,
-        update_ms: upd_s * 1e3,
-        speedup: full_s / upd_s,
-    }
 }
 
 struct SnapshotResult {
@@ -788,7 +718,6 @@ fn run_observability(script: &str) -> ObservabilityResult {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     results: &[BenchResult],
     threads: usize,
@@ -796,7 +725,6 @@ fn render_json(
     synthetic: &SyntheticResult,
     server: &ServerResult,
     obs: &ObservabilityResult,
-    incr: &IncrementalResult,
     snap: &SnapshotResult,
 ) -> String {
     let mut queries = 0usize;
@@ -930,17 +858,6 @@ fn render_json(
     );
     let _ = write!(out, "\"recorder_overhead_pct\": {:.2}", obs.overhead_pct);
     out.push_str("},\n");
-    // Edit-to-answer latency: one-literal body edit through
-    // `AnalysisSession::update` vs a from-scratch rebuild, each followed
-    // by the same warm thin CI slice (medians pooled over the table2
-    // benchmarks).
-    out.push_str("  \"incremental\": {");
-    let _ = write!(out, "\"workload\": \"table2-single-literal-edit\", ");
-    let _ = write!(out, "\"benchmarks\": {}, ", incr.benchmarks);
-    let _ = write!(out, "\"full_rebuild_ms\": {:.3}, ", incr.full_rebuild_ms);
-    let _ = write!(out, "\"update_ms\": {:.3}, ", incr.update_ms);
-    let _ = write!(out, "\"speedup\": {:.2}", incr.speedup);
-    out.push_str("},\n");
     // Warm start: cold build + one thin CI slice vs snapshot write and
     // restore + the same slice on the largest table2 benchmark.
     // Restored sessions are asserted bit-identical to fresh builds
@@ -1018,13 +935,6 @@ fn main() {
         obs.recorder_on_rps, obs.recorder_off_rps, obs.overhead_pct
     );
 
-    eprintln!("incremental re-analysis (single-literal edits) …");
-    let incr = run_incremental(&names);
-    println!(
-        "incremental: update {:.2} ms vs rebuild {:.2} ms ({:.1}x) over {} benchmarks",
-        incr.update_ms, incr.full_rebuild_ms, incr.speedup, incr.benchmarks
-    );
-
     eprintln!("session snapshots (cold build vs warm restore) …");
     let snap = run_snapshot();
     println!(
@@ -1037,9 +947,7 @@ fn main() {
         snap.benchmark
     );
 
-    let json = render_json(
-        &results, threads, &matrix, &synthetic, &server, &obs, &incr, &snap,
-    );
+    let json = render_json(&results, threads, &matrix, &synthetic, &server, &obs, &snap);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_slicing.json");
     std::fs::write(path, &json).expect("write BENCH_slicing.json");
     println!("\nwrote {path}");

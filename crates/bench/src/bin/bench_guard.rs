@@ -22,19 +22,16 @@
 //!   `recorder_overhead_pct` is reported in the summary but not gated:
 //!   it is a difference of two noisy medians, so an absolute threshold
 //!   would flake where the relative throughput comparisons do not;
-//! * the `incremental` row's `speedup` (from-scratch rebuild time over
-//!   `update` time for a one-literal edit) when both files carry it.
-//!   The ratio is gated rather than either absolute latency because it is
-//!   hardware-independent: both numerator and denominator are measured on
-//!   the same runner in the same round. Baselines predating the row are
-//!   skipped, not failed;
 //! * the `snapshot` row's `restore_speedup` (cold build time over
 //!   snapshot-restore time, both followed by the same thin CI slice).
-//!   Like the incremental ratio it is compared against the baseline only
-//!   when both files carry it, but the fresh file additionally must meet
-//!   an absolute floor: a warm restore that is not at least 5x faster
-//!   than a cold build defeats the point of persisting snapshots, and
-//!   the ratio is runner-independent so the floor does not flake.
+//!   The ratio is gated rather than either absolute latency because it is
+//!   hardware-independent: both numerator and denominator are measured on
+//!   the same runner in the same round. It is compared against the
+//!   baseline only when both files carry it, but the fresh file
+//!   additionally must meet an absolute floor: a warm restore that is not
+//!   at least 5x faster than a cold build defeats the point of persisting
+//!   snapshots, and the ratio is runner-independent so the floor does
+//!   not flake.
 //!
 //! The default tolerance of 25% absorbs runner noise while still
 //! catching a slicer or batch-engine pessimisation.
@@ -73,14 +70,6 @@ fn server_throughput(json: &Json) -> Option<f64> {
 fn observability_field(json: &Json, field: &str) -> Option<f64> {
     json.get("observability")
         .and_then(|s| s.get(field))
-        .and_then(Json::as_f64)
-}
-
-/// The incremental-reanalysis rebuild/update speedup, `None` when the
-/// file predates the `incremental` row.
-fn incremental_speedup(json: &Json) -> Option<f64> {
-    json.get("incremental")
-        .and_then(|s| s.get("speedup"))
         .and_then(Json::as_f64)
 }
 
@@ -191,18 +180,6 @@ fn run(args: &[String]) -> Result<String, String> {
     }
     if let Some(overhead) = observability_field(&fresh, "recorder_overhead_pct") {
         lines.push(format!("recorder overhead {overhead:+.2}% (informational)"));
-    }
-    if let (Some(base), Some(fresh_ratio)) =
-        (incremental_speedup(&baseline), incremental_speedup(&fresh))
-    {
-        // compare() gates on relative drop, which works for ratios the
-        // same way it does for throughputs.
-        lines.push(compare(
-            "incremental update speedup",
-            base,
-            fresh_ratio,
-            max_drop,
-        )?);
     }
     if let Some(fresh_ratio) = snapshot_restore_speedup(&fresh) {
         if fresh_ratio < MIN_RESTORE_SPEEDUP {

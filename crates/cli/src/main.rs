@@ -669,7 +669,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// The reload subcommand's options: which daemon socket to talk to, which
-/// loaded program (pool key) to update, and the edited source files.
+/// loaded program (pool key) to reload, and the edited source files.
 struct ReloadCli {
     socket: String,
     program: String,
@@ -704,10 +704,9 @@ fn parse_reload_options(args: &[String]) -> Result<ReloadCli, String> {
     })
 }
 
-/// One-shot incremental-update client: pushes edited sources to a running
-/// daemon under an existing program key (`reload` op) and reports which
-/// invalidation path the daemon took. File names are sent as basenames,
-/// matching what `load` registered.
+/// One-shot reload client: pushes edited sources to a running daemon under
+/// an existing program key (`reload` op) and reports the new content hash.
+/// File names are sent as basenames, matching what `load` registered.
 #[cfg(unix)]
 fn cmd_reload(args: &[String]) -> Result<(), String> {
     use std::io::{BufRead, BufReader, Write};
@@ -766,21 +765,11 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
     let s = |key: &str| v.get(key).and_then(Json::as_str).unwrap_or("?").to_string();
     let u = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
     println!(
-        "reloaded {} (content {}) path={} methods {}/{} changed · \
-         constraints retracted {} readded {} of {} · \
-         csr refrozen {}/{} · memo invalidated {} kept {}",
+        "reloaded {} (content {}) path={} resident {}",
         s("program"),
         s("content"),
         s("path"),
-        u("methods_changed"),
-        u("methods_total"),
-        u("constraints_retracted"),
-        u("constraints_readded"),
-        u("constraints_total"),
-        u("csr_segments_refrozen"),
-        u("csr_segments_total"),
-        u("memo_invalidated"),
-        u("memo_kept"),
+        u("resident"),
     );
     Ok(())
 }
@@ -1529,7 +1518,7 @@ mod tests {
             r#"{"schema":"thinslice.serve_stats.v1","uptime_ms":1500,
                 "pool":{"programs":1,"live_sessions":1,"capacity":8,"quarantined":0,
                         "resident":123,"hits":3,"misses":1,"builds":1,"evictions":0,
-                        "quarantines":0,"rebuilds":0,"reloads":0,"reloads_incremental":0,
+                        "quarantines":0,"rebuilds":0,"reloads":0,
                         "snapshot_hits":2,"snapshot_misses":1,"snapshot_writes":3,
                         "snapshot_discarded_corrupt":1},
                 "server":{"served":4,"errors":0,"panics":0,"recorded":6,"recorder_capacity":256},
@@ -1570,7 +1559,7 @@ mod tests {
             r#"{"schema":"thinslice.serve_stats.v1","uptime_ms":0,
                 "pool":{"programs":0,"live_sessions":0,"capacity":8,"quarantined":0,
                         "resident":0,"hits":0,"misses":0,"builds":0,"evictions":0,
-                        "quarantines":0,"rebuilds":0,"reloads":0,"reloads_incremental":0,
+                        "quarantines":0,"rebuilds":0,"reloads":0,
                         "snapshot_hits":0,"snapshot_misses":0,"snapshot_writes":0,
                         "snapshot_discarded_corrupt":0},
                 "server":{"served":0,"errors":0,"panics":0,"recorded":0,"recorder_capacity":256},

@@ -14,7 +14,8 @@
 //!   [`SliceResult`].
 //!
 //! Cache invariants: stage artifacts are immutable once built (the MJ
-//! program never changes under a session), so memoisation is pure — a
+//! program never changes under a session; [`AnalysisSession::update`]
+//! replaces the whole session), so memoisation is pure — a
 //! warm query returns exactly what a cold one would. The tabulation memo
 //! is keyed per slice kind because summary edges depend on which edges a
 //! kind follows; the CS scratch for one kind is never consulted for
@@ -42,12 +43,9 @@ use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
 use crate::tabulation::{cs_reusing, CsScratch, DownConsumers, MemoStats};
 use crate::BuildReport;
-use thinslice_ir::delta::{ProgramDelta, ProgramFingerprints};
-use thinslice_ir::{compile_fingerprinted, CompileError, Program, StmtRef};
-use thinslice_pta::{incr, GenCache, ModRef, Pta, PtaConfig};
-use thinslice_sdg::{
-    body_fingerprint, build_ci_cached, build_cs_cached, DepGraph, FrozenSdg, NodeId, Sdg, SdgCache,
-};
+use thinslice_ir::{compile_ctx, CompileError, Program, StmtRef};
+use thinslice_pta::{ModRef, Pta, PtaConfig};
+use thinslice_sdg::{build_ci_cached, build_cs_cached, DepGraph, FrozenSdg, NodeId, Sdg, SdgCache};
 use thinslice_util::{
     Budget, ByteReader, ByteWriter, CodecError, Completeness, FxHashSet, RunCtx, SnapshotReader,
     SnapshotWriter,
@@ -187,64 +185,19 @@ fn kind_slot(kind: SliceKind) -> usize {
     }
 }
 
-/// Counters from one [`AnalysisSession::update`]: how much pipeline work
-/// the edit actually caused, against the from-scratch totals.
-///
-/// The pair structure (`*_total` vs the work done) is the incremental
-/// contract: for a body-only edit, every "work" counter is bounded by the
-/// edit's footprint, not the program's size.
+/// What one [`AnalysisSession::update`] did. An update re-opens the
+/// session lazily on the new program, so no stage artifact is ever kept.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Methods with bodies in the updated program.
     pub methods_total: usize,
-    /// Methods the delta classified as changed (body, signature, renamed,
-    /// added, or removed).
-    pub methods_changed: usize,
-    /// Whitespace/comment-only edit: every artifact was kept.
-    pub noop: bool,
-    /// Declarations changed shape (add/remove/rename/signature/field/class
-    /// edits): identifier numbering shifted, so previously built stages
-    /// were rebuilt from scratch.
-    pub structural: bool,
-    /// No retained fingerprints to diff against (first update of a session
-    /// opened from a compiled program): treated like a structural edit.
-    pub undiffed: bool,
-    /// The points-to result was reused without re-solving — the edit
-    /// touched no constraint-relevant instruction.
-    pub pta_reused: bool,
-    /// The CI dependence graph came out identical, keeping its frozen CSR.
-    pub ci_graph_reused: bool,
-    /// The CS dependence graph came out identical, keeping its frozen CSR,
-    /// down-edge index and tabulation memos.
-    pub cs_graph_reused: bool,
-    /// Constraint-generation sites in the updated program (what a
-    /// from-scratch solve generates).
-    pub constraints_total: u64,
-    /// Sites retracted with the changed methods' old bodies (0 when the
-    /// points-to result was reused or never built).
-    pub constraints_retracted: u64,
-    /// Sites re-generated from the changed methods' new bodies.
-    pub constraints_readded: u64,
-    /// Per-method control-dependence/def-site artifacts recomputed during
-    /// the update's graph rebuilds.
-    pub control_deps_recomputed: u64,
-    /// Per-method artifacts served from the warm cache instead.
-    pub control_deps_reused: u64,
-    /// CSR segments (method instances) across the session's built graphs.
-    pub csr_segments_total: usize,
-    /// Segments re-frozen because their graph changed.
-    pub csr_segments_refrozen: usize,
-    /// Tabulation memo entries (callee-exit regions) invalidated.
-    pub memo_entries_invalidated: usize,
-    /// Tabulation memo entries kept warm.
-    pub memo_entries_kept: usize,
 }
 
 impl UpdateStats {
-    /// Whether the update reused *any* stage artifact (the complement of a
-    /// cold rebuild). A no-op edit trivially qualifies.
+    /// Whether the update reused any stage artifact: always `false`, since
+    /// an update rebuilds every stage on first use.
     pub fn any_reuse(&self) -> bool {
-        self.noop || self.pta_reused || self.ci_graph_reused || self.cs_graph_reused
+        false
     }
 }
 
@@ -258,18 +211,11 @@ pub struct AnalysisSession {
     ctx: RunCtx,
     config: PtaConfig,
     program: Program,
-    /// Span-free fingerprints of the sources the program was compiled
-    /// from, computed by the compiling parse and retained for
-    /// [`AnalysisSession::update`]'s diff — so an update never re-reads
-    /// the previous version's text. `None` when the session was opened
-    /// from a pre-compiled program (the first update then rebuilds fully
-    /// and starts retaining fingerprints).
-    fingerprints: Option<ProgramFingerprints>,
     pta: Option<(Pta, Completeness)>,
     ci: Option<(Sdg, Completeness)>,
     /// Encoded growable CI graph adopted from a snapshot, decoded on
-    /// first use: queries traverse the frozen graph, so only an edit
-    /// (or an explicit [`AnalysisSession::ci_sdg`] call) pays the
+    /// first use: queries traverse the frozen graph, so only an explicit
+    /// [`AnalysisSession::ci_sdg`] (or `build_report`) call pays the
     /// decode. A section that fails to decode falls back to a clean
     /// rebuild — never an error on the query path.
     ci_snap: Option<Vec<u8>>,
@@ -282,11 +228,8 @@ pub struct AnalysisSession {
     cs_index: Option<DownConsumers>,
     scratch: SliceScratch,
     cs_scratch: [CsScratch; KINDS],
-    /// Per-method constraint-generation streams (solver input), kept warm
-    /// across updates for unchanged methods.
-    gen_cache: GenCache,
     /// Per-method def-site/control-dependence artifacts (SDG build input),
-    /// ditto.
+    /// computed by the first graph build and reused by the second.
     sdg_cache: SdgCache,
 }
 
@@ -314,21 +257,16 @@ impl AnalysisSession {
         config: PtaConfig,
         ctx: RunCtx,
     ) -> Result<AnalysisSession, CompileError> {
-        let (program, fingerprints) = compile_fingerprinted(sources, &ctx)?;
-        let mut session = Self::from_program(program, config, ctx);
-        session.fingerprints = Some(fingerprints);
-        Ok(session)
+        let program = compile_ctx(sources, &ctx)?;
+        Ok(Self::from_program(program, config, ctx))
     }
 
-    /// Opens a session over an already-compiled program. Without retained
-    /// fingerprints, the first [`AnalysisSession::update`] cannot diff and
-    /// takes the full-rebuild path; later updates diff normally.
+    /// Opens a session over an already-compiled program.
     pub fn from_program(program: Program, config: PtaConfig, ctx: RunCtx) -> AnalysisSession {
         AnalysisSession {
             ctx,
             config,
             program,
-            fingerprints: None,
             pta: None,
             ci: None,
             ci_snap: None,
@@ -339,7 +277,6 @@ impl AnalysisSession {
             cs_index: None,
             scratch: SliceScratch::new(),
             cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
-            gen_cache: GenCache::new(),
             sdg_cache: SdgCache::new(),
         }
     }
@@ -375,7 +312,7 @@ impl AnalysisSession {
         // A snapshot-adopted graph still pending decode holds the same
         // nodes and edges its frozen counterpart does; count it via that
         // proxy so a warm session is not under-reported to the eviction
-        // watermark before its first edit.
+        // watermark.
         if self.ci.is_none() && self.ci_snap.is_some() {
             if let Some(csr) = &self.ci_csr {
                 elems += csr.node_count() + csr.edge_count();
@@ -386,15 +323,13 @@ impl AnalysisSession {
                 elems += csr.node_count() + csr.edge_count();
             }
         }
-        // Solved and cached state is resident too: the points-to sets, the
-        // warm constraint streams, and the per-method SDG artifacts all
-        // survive across queries and updates, so a watermark that ignored
-        // them would under-report exactly the sessions that are most
-        // expensive to keep.
+        // Solved and cached state is resident too: the points-to sets and
+        // the per-method SDG artifacts survive across queries, so a
+        // watermark that ignored them would under-report exactly the
+        // sessions that are most expensive to keep.
         if let Some((pta, _)) = &self.pta {
             elems += pta.resident_estimate();
         }
-        elems += self.gen_cache.resident_estimate();
         elems += self.sdg_cache.resident_estimate();
         elems
     }
@@ -419,37 +354,13 @@ impl AnalysisSession {
         total
     }
 
-    // ---- incremental update ----
+    // ---- reload ----
 
-    /// Re-analyses the session for an edited version of its sources,
-    /// invalidating only what the edit can reach and keeping everything
-    /// else warm. Returns the work/reuse accounting.
-    ///
-    /// The contract is *bit-identity*: after `update`, every query answers
-    /// exactly what a fresh session over `new_sources` would answer. Three
-    /// paths deliver it:
-    ///
-    /// * **no-op** (whitespace/comment edit): only the program (and its
-    ///   spans) is swapped; every analysis key in the pipeline is
-    ///   span-free, so all artifacts remain valid.
-    /// * **body-only edit**: per-method caches for the changed methods are
-    ///   dropped; the points-to result is kept when the edit's
-    ///   [constraint-relevant fingerprint][incr::stream_hash] is unchanged
-    ///   (else re-solved by replay — same unique least fixpoint). When on
-    ///   top of that every changed method's [literal-erased graph
-    ///   fingerprint][body_fingerprint] is unchanged (a value-only edit),
-    ///   graph re-derivation is skipped outright — the graphs would come
-    ///   out byte-identical. Otherwise built graphs are re-derived over
-    ///   the warm per-method caches, and a graph that comes out identical
-    ///   keeps its frozen CSR, down-edge index and tabulation memos.
-    /// * **structural edit** (or no retained fingerprints): identifier
-    ///   numbering shifted, so caches are cleared and previously built
-    ///   stages rebuild from scratch — still deterministic, still
-    ///   bit-identical to a fresh session.
-    ///
-    /// Stage laziness is preserved: a stage never built is not built now.
-    /// Batch-level exit-sharing state is per-batch, not session-held, so
-    /// there is nothing to invalidate there.
+    /// Re-opens the session on an edited version of its sources: compiles
+    /// `new_sources` and replaces the session with a fresh lazy one over
+    /// the result, with the same points-to configuration and run context.
+    /// Every stage is rebuilt on first use, so after `update` every query
+    /// answers exactly what a fresh session over `new_sources` would.
     ///
     /// # Errors
     ///
@@ -457,243 +368,24 @@ impl AnalysisSession {
     /// untouched in that case.
     pub fn update(&mut self, new_sources: &[(&str, &str)]) -> Result<UpdateStats, CompileError> {
         let tel = self.ctx.telemetry().clone();
-        let mut span = tel.span("session.update");
-        // Compile first: an invalid edit must leave the session untouched.
-        // The same parse yields the new version's fingerprints, so the
-        // diff against the retained previous-version fingerprints costs
-        // no extra pass over either version's text.
-        let (new_program, new_fingerprints) = compile_fingerprinted(new_sources, &self.ctx)?;
-        // The delta paths below diff and rebuild the growable graphs in
-        // place, so graphs adopted from a snapshot but not yet decoded
-        // must materialise first (their encodings describe the
-        // pre-edit program and would be stale afterwards).
-        if self.ci_snap.is_some() {
-            self.ensure_ci();
-        }
-        if self.cs_snap.is_some() {
-            self.ensure_cs();
-        }
-        let delta = self
-            .fingerprints
-            .as_ref()
-            .map(|old| ProgramDelta::between_fingerprints(old, &new_fingerprints));
-        let mut stats = UpdateStats {
-            methods_total: new_program
-                .methods
-                .iter_enumerated()
-                .filter(|(_, m)| m.body.is_some())
-                .count(),
-            constraints_total: total_sites(&new_program),
-            ..UpdateStats::default()
+        let _span = tel.span("session.update");
+        let program = compile_ctx(new_sources, &self.ctx)?;
+        let stats = UpdateStats {
+            methods_total: program.methods.iter().filter(|m| m.body.is_some()).count(),
         };
-        match &delta {
-            Some(d) if d.is_noop() => self.apply_noop(new_program, &mut stats),
-            Some(d) if !d.is_structural() => self.apply_body_edit(new_program, d, &mut stats),
-            _ => {
-                stats.structural = delta.is_some();
-                stats.undiffed = delta.is_none();
-                stats.methods_changed = delta
-                    .as_ref()
-                    .map_or(stats.methods_total, ProgramDelta::len);
-                self.rebuild_all(new_program, &mut stats);
-            }
-        }
-        self.fingerprints = Some(new_fingerprints);
-        span.add("update.methods_changed", stats.methods_changed as u64);
-        span.add("update.constraints_readded", stats.constraints_readded);
-        span.add("update.csr_refrozen", stats.csr_segments_refrozen as u64);
+        *self = Self::from_program(program, self.config.clone(), self.ctx.clone());
         tel.count("session.updates", 1);
         Ok(stats)
-    }
-
-    /// No analysable change: swap the program (refreshing spans for seed
-    /// lookup) and keep every artifact.
-    fn apply_noop(&mut self, new_program: Program, stats: &mut UpdateStats) {
-        stats.noop = true;
-        stats.pta_reused = self.pta.is_some();
-        stats.ci_graph_reused = self.ci.is_some();
-        stats.cs_graph_reused = self.cs.is_some();
-        stats.control_deps_reused = self.sdg_cache.len() as u64;
-        stats.csr_segments_total = self.segments_total();
-        stats.memo_entries_kept = self.memo_entries_total();
-        self.program = new_program;
-    }
-
-    /// Body edits with unchanged declarations: identifier numbering is
-    /// stable, so invalidation is per changed method.
-    fn apply_body_edit(
-        &mut self,
-        new_program: Program,
-        delta: &ProgramDelta,
-        stats: &mut UpdateStats,
-    ) {
-        let changed = delta.changed_method_ids(&new_program);
-        stats.methods_changed = changed.len();
-        self.gen_cache.invalidate(&changed);
-        self.sdg_cache.invalidate(&changed);
-
-        // Old-program fingerprints must be read before the swap.
-        let pta_unchanged = changed
-            .iter()
-            .all(|&m| incr::stream_hash(&self.program, m) == incr::stream_hash(&new_program, m));
-        // With the solver reused, equal literal-erased fingerprints mean a
-        // graph rebuild would reproduce every graph byte-for-byte — so it
-        // can be skipped wholesale (the value-only fast path below).
-        let graphs_unchanged = pta_unchanged
-            && changed
-                .iter()
-                .all(|&m| body_fingerprint(&self.program, m) == body_fingerprint(&new_program, m));
-        let old_sites: u64 = changed
-            .iter()
-            .map(|&m| incr::gen_site_count(&self.program, m))
-            .sum();
-        self.program = new_program;
-
-        let (hits0, misses0) = (self.sdg_cache.hits, self.sdg_cache.misses);
-
-        if graphs_unchanged {
-            // Value-only edit (constants, string contents): nothing any
-            // graph — or anything frozen from one — can observe changed,
-            // so the built graphs, CSRs, down-edge index and tabulation
-            // memos all stay valid as-is. The per-method cache entries
-            // invalidated above simply repopulate on the next real build.
-            stats.pta_reused = self.pta.is_some();
-            stats.ci_graph_reused = self.ci.is_some();
-            stats.cs_graph_reused = self.cs.is_some();
-            stats.memo_entries_kept = self.memo_entries_total();
-            stats.control_deps_reused = self.sdg_cache.len() as u64;
-            stats.csr_segments_total = self.segments_total();
-            return;
-        }
-
-        if self.pta.is_some() {
-            if pta_unchanged {
-                stats.pta_reused = true;
-            } else {
-                stats.constraints_retracted = old_sites;
-                stats.constraints_readded = changed
-                    .iter()
-                    .map(|&m| incr::gen_site_count(&self.program, m))
-                    .sum();
-                self.pta = Some(Pta::analyze_cached(
-                    &self.program,
-                    self.config.clone(),
-                    &self.ctx,
-                    &mut self.gen_cache,
-                ));
-            }
-        }
-
-        // CI graph: re-derive over the warm per-method caches; keep the
-        // freeze when the graph came out identical.
-        if let Some((old_ci, _)) = self.ci.take() {
-            let (pta, _) = self.pta.as_ref().expect("ci implies pta");
-            let (new_ci, comp) =
-                build_ci_cached(&self.program, pta, &self.ctx, &mut self.sdg_cache);
-            if new_ci.same_graph(&old_ci) {
-                stats.ci_graph_reused = true;
-            } else if self.ci_csr.is_some() {
-                stats.csr_segments_refrozen += new_ci.instance_count();
-                self.ci_csr = Some(new_ci.freeze_ctx(&self.ctx));
-            }
-            self.ci = Some((new_ci, comp));
-        }
-
-        // CS graph: same, plus the down-edge index and tabulation memos
-        // that hang off the frozen graph.
-        if let Some(old_cs) = self.cs.take() {
-            let (pta, _) = self.pta.as_ref().expect("cs implies pta");
-            let modref = ModRef::compute(&self.program, pta);
-            let new_cs =
-                build_cs_cached(&self.program, pta, &modref, &self.ctx, &mut self.sdg_cache);
-            if new_cs.same_graph(&old_cs) {
-                stats.cs_graph_reused = true;
-                stats.memo_entries_kept = self.memo_entries_total();
-            } else {
-                if self.cs_csr.is_some() {
-                    stats.csr_segments_refrozen += new_cs.instance_count();
-                    self.cs_csr = Some(new_cs.freeze_ctx(&self.ctx));
-                }
-                if self.cs_index.is_some() {
-                    let csr = self.cs_csr.as_ref().expect("index implies csr");
-                    self.cs_index = Some(DownConsumers::build(csr));
-                }
-                for scratch in &mut self.cs_scratch {
-                    stats.memo_entries_invalidated += scratch.invalidate();
-                }
-            }
-            self.cs = Some(new_cs);
-        }
-
-        stats.control_deps_recomputed = self.sdg_cache.misses - misses0;
-        stats.control_deps_reused = self.sdg_cache.hits - hits0;
-        stats.csr_segments_total = self.segments_total();
-    }
-
-    /// Structural (or undiffable) change: clear the per-method caches and
-    /// rebuild exactly the stages that had been built, preserving laziness.
-    fn rebuild_all(&mut self, new_program: Program, stats: &mut UpdateStats) {
-        if self.pta.is_some() {
-            stats.constraints_retracted = total_sites(&self.program);
-            stats.constraints_readded = stats.constraints_total;
-        }
-        self.gen_cache.clear();
-        self.sdg_cache.clear();
-        for scratch in &mut self.cs_scratch {
-            stats.memo_entries_invalidated += scratch.invalidate();
-        }
-        let pta_was = self.pta.take().is_some();
-        let ci_was = self.ci.take().is_some();
-        let ci_csr_was = self.ci_csr.take().is_some();
-        let cs_was = self.cs.take().is_some();
-        let cs_csr_was = self.cs_csr.take().is_some();
-        let cs_index_was = self.cs_index.take().is_some();
-        self.program = new_program;
-        let misses0 = self.sdg_cache.misses;
-        if pta_was {
-            self.ensure_pta();
-        }
-        if ci_was {
-            self.ensure_ci();
-        }
-        if ci_csr_was {
-            self.ensure_ci_csr();
-            stats.csr_segments_refrozen += self.ci.as_ref().expect("ci ensured").0.instance_count();
-        }
-        if cs_was {
-            self.ensure_cs();
-        }
-        if cs_csr_was {
-            self.ensure_cs_csr();
-            stats.csr_segments_refrozen += self.cs.as_ref().expect("cs ensured").instance_count();
-        }
-        if cs_index_was {
-            self.ensure_cs_index();
-        }
-        stats.control_deps_recomputed = self.sdg_cache.misses - misses0;
-        stats.csr_segments_total = self.segments_total();
-    }
-
-    /// CSR segment count across the built graphs (method instances).
-    fn segments_total(&self) -> usize {
-        self.ci.as_ref().map_or(0, |(g, _)| g.instance_count())
-            + self.cs.as_ref().map_or(0, Sdg::instance_count)
-    }
-
-    /// Live tabulation memo entries across the per-kind scratches.
-    fn memo_entries_total(&self) -> usize {
-        self.cs_scratch.iter().map(CsScratch::memo_entries).sum()
     }
 
     // ---- lazy stage artifacts ----
 
     fn ensure_pta(&mut self) {
         if self.pta.is_none() {
-            self.pta = Some(Pta::analyze_cached(
+            self.pta = Some(Pta::analyze_ctx(
                 &self.program,
                 self.config.clone(),
                 &self.ctx,
-                &mut self.gen_cache,
             ));
         }
     }
@@ -1043,11 +735,6 @@ impl AnalysisSession {
         let mut w = ByteWriter::new();
         thinslice_ir::snap::encode_program(&self.program, &mut w);
         snap.section("program", w.into_bytes());
-        if let Some(fp) = &self.fingerprints {
-            let mut w = ByteWriter::new();
-            fp.encode(&mut w);
-            snap.section("fingerprints", w.into_bytes());
-        }
         if let Some((pta, _)) = &self.pta {
             let mut w = ByteWriter::new();
             thinslice_pta::snap::encode_pta(pta, &mut w);
@@ -1120,10 +807,6 @@ impl AnalysisSession {
             return None;
         }
         let program = decode_section(snap.section("program")?, thinslice_ir::snap::decode_program)?;
-        let fingerprints = match snap.section("fingerprints") {
-            Some(b) => Some(decode_section(b, ProgramFingerprints::decode)?),
-            None => None,
-        };
         let pta = match snap.section("pta") {
             Some(b) => {
                 let pta = decode_section(b, thinslice_pta::snap::decode_pta)?;
@@ -1170,7 +853,6 @@ impl AnalysisSession {
             ctx,
             config,
             program,
-            fingerprints,
             pta,
             ci: None,
             ci_snap,
@@ -1181,13 +863,11 @@ impl AnalysisSession {
             cs_index,
             scratch: SliceScratch::new(),
             cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
-            gen_cache: GenCache::new(),
             sdg_cache: SdgCache::new(),
         })
     }
 }
 
-/// Total constraint-generation sites across a program's method bodies.
 /// Decodes one snapshot section, requiring the decoder to consume it
 /// exactly; `None` on any codec error (the caller rebuilds instead).
 fn decode_section<'a, T>(
@@ -1197,14 +877,6 @@ fn decode_section<'a, T>(
     let mut r = ByteReader::new(bytes);
     let v = f(&mut r).ok()?;
     r.is_at_end().then_some(v)
-}
-
-fn total_sites(program: &Program) -> u64 {
-    program
-        .methods
-        .iter_enumerated()
-        .map(|(m, _)| incr::gen_site_count(program, m))
-        .sum()
 }
 
 /// Resolves statement seeds to graph nodes.
@@ -1320,88 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn update_noop_keeps_everything() {
-        let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
-        let seeds = s.seed_at_line("t.mj", 10).unwrap();
-        let before = s.query(&Query::new(seeds, SliceKind::Thin, Engine::Cs));
-        let edited = format!("// header comment\n{SRC}");
-        let stats = s.update(&[("t.mj", &edited)]).unwrap();
-        assert!(stats.noop, "{stats:?}");
-        assert!(stats.pta_reused && stats.ci_graph_reused && stats.cs_graph_reused);
-        assert_eq!(stats.methods_changed, 0);
-        assert_eq!(stats.csr_segments_refrozen, 0);
-        assert_eq!(stats.memo_entries_invalidated, 0);
-        assert!(stats.memo_entries_kept > 0, "warm memos must be retained");
-        // Spans refreshed: the seed line moved down by the comment.
-        let seeds = s.seed_at_line("t.mj", 11).unwrap();
-        let after = s.query(&Query::new(seeds, SliceKind::Thin, Engine::Cs));
-        assert_eq!(before.stmts, after.stmts);
-        assert_matches_fresh(&mut s, &edited, 11);
-    }
-
-    #[test]
-    fn update_constant_tweak_keeps_solver_and_graphs() {
-        let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
-        let seeds = s.seed_at_line("t.mj", 10).unwrap();
-        s.query(&Query::new(seeds, SliceKind::Thin, Engine::Cs));
-        let edited = SRC.replace("\"x\"", "\"tweaked\"");
-        let stats = s.update(&[("t.mj", &edited)]).unwrap();
-        assert!(!stats.noop && !stats.structural && !stats.undiffed);
-        assert_eq!(stats.methods_changed, 1);
-        assert!(stats.pta_reused, "literal value is constraint-irrelevant");
-        assert!(stats.ci_graph_reused && stats.cs_graph_reused);
-        assert_eq!(stats.constraints_retracted, 0);
-        assert_eq!(stats.csr_segments_refrozen, 0);
-        assert_eq!(stats.memo_entries_invalidated, 0);
-        assert!(
-            stats.control_deps_recomputed <= 1,
-            "only the edited method rebuilds its per-method artifacts: {stats:?}"
-        );
-        assert_matches_fresh(&mut s, &edited, 10);
-    }
-
-    #[test]
-    fn update_statement_insert_resolves_incrementally() {
-        let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
-        let seeds = s.seed_at_line("t.mj", 10).unwrap();
-        s.query(&Query::new(seeds, SliceKind::Thin, Engine::Cs));
-        let edited = SRC.replace("print(got);", "Object extra = b.take();\nprint(got);");
-        let stats = s.update(&[("t.mj", &edited)]).unwrap();
-        assert!(!stats.structural, "body-only edit: {stats:?}");
-        assert!(!stats.pta_reused, "a new call site must re-solve");
-        assert!(
-            0 < stats.constraints_retracted
-                && stats.constraints_retracted < stats.constraints_total,
-            "retraction is edit-sized: {stats:?}"
-        );
-        assert!(stats.constraints_readded < stats.constraints_total);
-        assert!(
-            stats.control_deps_recomputed < stats.methods_total as u64,
-            "unchanged methods keep their artifacts: {stats:?}"
-        );
-        assert_matches_fresh(&mut s, &edited, 10);
-    }
-
-    #[test]
-    fn update_structural_edit_rebuilds_built_stages_only() {
-        let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
-        let seeds = s.seed_at_line("t.mj", 10).unwrap();
-        s.query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
-        assert!(s.cs.is_none());
-        let edited = SRC.replace(
-            "Object take() { return this.item; }",
-            "Object take() { return this.item; }\n        Object peek() { return this.item; }",
-        );
-        let stats = s.update(&[("t.mj", &edited)]).unwrap();
-        assert!(stats.structural, "{stats:?}");
-        assert!(!stats.pta_reused && !stats.ci_graph_reused);
-        assert_eq!(stats.constraints_readded, stats.constraints_total);
-        assert!(s.cs.is_none(), "laziness preserved: CS stays unbuilt");
-        assert!(s.pta.is_some() && s.ci.is_some());
-        assert_matches_fresh(&mut s, &edited, 10);
-    }
-
-    #[test]
     fn update_compile_error_leaves_session_untouched() {
         let mut s = AnalysisSession::new(&[("t.mj", SRC)]).unwrap();
         let seeds = s.seed_at_line("t.mj", 10).unwrap();
@@ -1409,20 +999,6 @@ mod tests {
         assert!(s.update(&[("t.mj", "class Broken {")]).is_err());
         let after = s.query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
         assert_eq!(before.stmts, after.stmts);
-    }
-
-    #[test]
-    fn update_without_retained_sources_rebuilds() {
-        let program = thinslice_ir::compile(&[("t.mj", SRC)]).unwrap();
-        let mut s =
-            AnalysisSession::from_program(program, PtaConfig::default(), RunCtx::disabled());
-        let seeds = s.seed_at_line("t.mj", 10).unwrap();
-        s.query(&Query::new(seeds, SliceKind::Thin, Engine::Ci));
-        let stats = s.update(&[("t.mj", SRC)]).unwrap();
-        assert!(stats.undiffed && !stats.structural && !stats.noop);
-        // Sources are retained now: the next identical update is a no-op.
-        let stats = s.update(&[("t.mj", SRC)]).unwrap();
-        assert!(stats.noop);
     }
 
     #[test]
@@ -1581,12 +1157,12 @@ mod tests {
         let mut restored =
             AnalysisSession::from_snapshot(&bytes, "k", PtaConfig::default(), RunCtx::disabled())
                 .unwrap();
-        // Body-only edit on the restored session: the retained
-        // fingerprints must drive the same incremental path a live
-        // session takes, and the answers must match a fresh build.
+        // An edit re-opens the restored session lazily: every stage the
+        // snapshot adopted is dropped, and the answers match a fresh build.
         let edited = SRC.replace("print(got);", "Object extra = b.take();\nprint(got);");
         let stats = restored.update(&[("t.mj", &edited)]).unwrap();
-        assert!(!stats.structural && !stats.undiffed, "{stats:?}");
+        assert!(stats.methods_total > 0 && !stats.any_reuse());
+        assert!(restored.pta.is_none() && restored.ci_csr.is_none() && restored.cs_snap.is_none());
         assert_matches_fresh(&mut restored, &edited, 10);
     }
 
@@ -1617,8 +1193,8 @@ mod tests {
     fn resident_estimate_counts_solved_and_cached_state() {
         let s = full_session();
         // The old estimator: program statements plus graph nodes/edges
-        // only. Solved points-to sets, constraint streams, and per-method
-        // SDG artifacts were invisible to the eviction watermark.
+        // only. Solved points-to sets and per-method SDG artifacts were
+        // invisible to the eviction watermark.
         let mut csr_only = s.program.all_stmts().count();
         for csr in [&s.ci_csr, &s.cs_csr].into_iter().flatten() {
             csr_only += csr.node_count() + csr.edge_count();
@@ -1633,7 +1209,6 @@ mod tests {
         );
         let (pta, _) = s.pta.as_ref().unwrap();
         assert!(pta.resident_estimate() > 0);
-        assert!(s.gen_cache.resident_estimate() > 0);
         assert!(s.sdg_cache.resident_estimate() > 0);
     }
 

@@ -617,37 +617,6 @@ impl CsScratch {
     pub fn memo_stats(&self) -> MemoStats {
         self.store.memo
     }
-
-    /// Number of fully tabulated callee-exit regions currently memoised —
-    /// the cross-query memo entries the incremental session accounts for.
-    pub fn memo_entries(&self) -> usize {
-        self.store
-            .exit_state
-            .iter()
-            .filter(|&&s| s == exit_state::CACHED)
-            .count()
-    }
-
-    /// Drops every memoised graph fact (summary edges, callee-exit regions,
-    /// and any cross-worker share attachment), returning how many cached
-    /// exit regions were discarded.
-    ///
-    /// Required whenever the scratch's graph is *replaced* rather than
-    /// merely regrown: the dense store only resets itself when the node
-    /// count grows, so an edit that changes the graph at equal or smaller
-    /// size would otherwise splice stale regions into new queries.
-    /// Cumulative [`MemoStats`] counters are preserved (callers diff them).
-    pub fn invalidate(&mut self) -> usize {
-        let dropped = self.memo_entries();
-        self.store = DenseStore {
-            memo: self.store.memo,
-            ..DenseStore::default()
-        };
-        self.wl.clear();
-        self.tmp_srcs.clear();
-        self.tmp_conts.clear();
-        dropped
-    }
 }
 
 /// The one-shot metered tabulation: a fresh [`SparseStore`] (no O(graph)

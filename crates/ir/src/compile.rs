@@ -47,31 +47,6 @@ pub fn compile_ctx(sources: &[(&str, &str)], ctx: &RunCtx) -> Result<Program, Co
     compile_raw_telemetry(&all, ctx.telemetry())
 }
 
-/// Like [`compile_ctx`], but also returns the sources'
-/// [`crate::delta::ProgramFingerprints`], computed from the same parse — so an
-/// incremental caller can later diff this version against an edited one
-/// ([`ProgramDelta::between_fingerprints`][crate::delta::ProgramDelta::between_fingerprints])
-/// without ever re-reading this version's text.
-///
-/// The fingerprints cover the prepended standard library too; that is
-/// harmless for diffing because every compiled version carries the same
-/// stdlib, which therefore cancels out of any delta.
-///
-/// # Errors
-///
-/// See [`compile`].
-pub fn compile_fingerprinted(
-    sources: &[(&str, &str)],
-    ctx: &RunCtx,
-) -> Result<(Program, crate::delta::ProgramFingerprints), CompileError> {
-    let mut all: Vec<(&str, &str)> = vec![("<stdlib>", STDLIB_SOURCE)];
-    all.extend_from_slice(sources);
-    let tel = ctx.telemetry();
-    let (files, asts) = parse_sources(&all, tel)?;
-    let fps = crate::delta::ProgramFingerprints::of_asts(asts.iter().map(|(_, ast)| ast));
-    Ok((collect(files, asts, tel)?, fps))
-}
-
 /// Compiles MJ sources *without* the standard library. The sources must
 /// define `Object` and `String` themselves. Mostly useful in tests.
 ///
@@ -86,33 +61,20 @@ fn compile_raw_telemetry(
     sources: &[(&str, &str)],
     tel: &Telemetry,
 ) -> Result<Program, CompileError> {
-    let (files, asts) = parse_sources(sources, tel)?;
-    collect(files, asts, tel)
-}
-
-type ParsedSources = (IdxVec<FileId, SourceFile>, Vec<(FileId, AstProgram)>);
-
-fn parse_sources(sources: &[(&str, &str)], tel: &Telemetry) -> Result<ParsedSources, CompileError> {
     let mut files: IdxVec<FileId, SourceFile> = IdxVec::new();
     let mut asts: Vec<(FileId, AstProgram)> = Vec::new();
-    let mut parse_span = tel.span("ir.parse");
-    for (name, text) in sources {
-        let file = files.push(SourceFile {
-            name: name.to_string(),
-            text: text.to_string(),
-        });
-        let ast = crate::parser::parse(file, text)?;
-        asts.push((file, ast));
+    {
+        let mut parse_span = tel.span("ir.parse");
+        for (name, text) in sources {
+            let file = files.push(SourceFile {
+                name: name.to_string(),
+                text: text.to_string(),
+            });
+            let ast = crate::parser::parse(file, text)?;
+            asts.push((file, ast));
+        }
+        parse_span.add("ir.files", asts.len() as u64);
     }
-    parse_span.add("ir.files", asts.len() as u64);
-    Ok((files, asts))
-}
-
-fn collect(
-    files: IdxVec<FileId, SourceFile>,
-    asts: Vec<(FileId, AstProgram)>,
-    tel: &Telemetry,
-) -> Result<Program, CompileError> {
     let decls: Vec<ClassDecl> = asts.into_iter().flat_map(|(_, ast)| ast.classes).collect();
     Collector::new(files).run(decls, tel)
 }

@@ -37,7 +37,6 @@
 
 pub mod ast;
 pub mod compile;
-pub mod delta;
 pub mod dom;
 pub mod error;
 pub mod ir;
@@ -51,7 +50,7 @@ pub mod ssa;
 pub mod stdlib;
 pub mod token;
 
-pub use compile::{compile, compile_ctx, compile_fingerprinted, compile_raw};
+pub use compile::{compile, compile_ctx, compile_raw};
 pub use error::CompileError;
 pub use ir::{
     Block, BlockId, Body, CallKind, Class, ClassId, Const, Field, FieldId, Instr, InstrKind,

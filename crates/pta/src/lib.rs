@@ -38,7 +38,6 @@
 pub mod callgraph;
 pub mod cha;
 pub mod heap;
-pub mod incr;
 pub mod modref;
 pub mod snap;
 pub mod solver;
@@ -46,7 +45,6 @@ pub mod stats;
 
 pub use callgraph::{CallGraph, CgNode, Ctx};
 pub use heap::{AbstractObject, AllocSite, ObjId, ObjKind};
-pub use incr::GenCache;
 pub use modref::{ModRef, PartId, Partition};
 pub use stats::ProgramStats;
 
@@ -54,7 +52,7 @@ pub use solver::SolveStats;
 
 use solver::{PtrKey, SolverResult};
 use thinslice_ir::{FieldId, MethodId, Program, StmtRef, Var};
-use thinslice_util::{BitSet, Completeness, FxHashMap, IdxVec, RunCtx};
+use thinslice_util::{BitSet, Completeness, FxHashMap, IdxVec, Meter, RunCtx};
 
 /// Configuration of the points-to analysis.
 #[derive(Debug, Clone)]
@@ -135,7 +133,7 @@ pub struct Pta {
 impl Pta {
     /// Runs the points-to analysis on `program` starting from `main`.
     pub fn analyze(program: &Program, config: PtaConfig) -> Pta {
-        let result = solver::solve(program, &config);
+        let (result, _) = solver::solve(program, &config, &mut Meter::unlimited());
         Self::from_solver(config, result)
     }
 
@@ -147,26 +145,6 @@ impl Pta {
     /// how much worklist was abandoned. With a disabled context this is
     /// exactly [`Pta::analyze`] (always [`Completeness::Complete`]).
     pub fn analyze_ctx(program: &Program, config: PtaConfig, ctx: &RunCtx) -> (Pta, Completeness) {
-        let mut cache = GenCache::new();
-        Self::analyze_cached(program, config, ctx, &mut cache)
-    }
-
-    /// Like [`Pta::analyze_ctx`], but replaying per-method constraint
-    /// generation streams from (and retaining new ones into) `cache`.
-    ///
-    /// This is the incremental-update entry point: after an edit, the
-    /// session invalidates only the changed methods' streams and re-solves,
-    /// which restarts propagation but skips all generation work for
-    /// untouched code. The result is bit-identical to a cold
-    /// [`Pta::analyze_ctx`] because cached streams are byte-equal to
-    /// freshly built ones and inclusion constraints have a unique least
-    /// fixpoint.
-    pub fn analyze_cached(
-        program: &Program,
-        config: PtaConfig,
-        ctx: &RunCtx,
-        cache: &mut GenCache,
-    ) -> (Pta, Completeness) {
         let tel = ctx.telemetry();
         let (pta, completeness) = {
             let mut span = tel.span("pta.solve");
@@ -174,9 +152,9 @@ impl Pta {
                 let mut meter = if ctx.is_governed() {
                     ctx.meter()
                 } else {
-                    thinslice_util::Meter::unlimited()
+                    Meter::unlimited()
                 };
-                solver::solve_governed_cached(program, &config, &mut meter, cache)
+                solver::solve(program, &config, &mut meter)
             };
             let pta = Self::from_solver(config, result);
             span.add("pta.delta_rounds", pta.solve_stats.delta_rounds);

@@ -8,21 +8,20 @@
 //! a decoded `Pta` answers every query with exactly the bytes a fresh solve
 //! would.
 //!
-//! The section also carries the per-method [constraint-stream hashes]
-//! (`crate::incr::stream_hash`) of every reachable non-native method.
+//! The section also carries the per-method constraint-stream hashes
+//! ([`reachable_stream_hashes`]) of every reachable non-native method.
 //! Restorers cross-check them against the restored program: a mismatch
 //! means the snapshot and program sections disagree (e.g. a partially
 //! stale file) and the restore must fall back to a cold solve.
-//!
-//! [constraint-stream hashes]: crate::incr::stream_hash
+
+use std::hash::{Hash, Hasher};
 
 use thinslice_ir::snap::{decode_stmt_ref, decode_type, encode_stmt_ref, encode_type};
-use thinslice_ir::{FieldId, MethodId, Program, StmtRef, Var};
-use thinslice_util::{BitSet, ByteReader, ByteWriter, CodecError, FxHashMap, IdxVec};
+use thinslice_ir::{FieldId, InstrKind, Loc, MethodId, Operand, Program, StmtRef, Var};
+use thinslice_util::{BitSet, ByteReader, ByteWriter, CodecError, FxHashMap, FxHasher, IdxVec};
 
 use crate::callgraph::{CallGraph, CgNode};
 use crate::heap::{AbstractObject, AllocSite, ObjId, ObjKind};
-use crate::incr::stream_hash;
 use crate::solver::SolveStats;
 use crate::{Pta, PtaConfig};
 
@@ -221,6 +220,108 @@ pub fn decode_stream_hashes(r: &mut ByteReader) -> Result<Vec<(MethodId, u64)>, 
         out.push((m, h));
     }
     Ok(out)
+}
+
+/// Fingerprint of everything the constraint generator can observe in
+/// `method`'s body.
+///
+/// Two programs with identical declarations in which every method has an
+/// equal `stream_hash` generate byte-identical constraint systems, which
+/// is what lets the restore cross-check tell whether a stored solve came
+/// from the program it is restored with. Payload the generator provably
+/// ignores (string literal values, array lengths, constant operands,
+/// arithmetic) is masked out.
+fn stream_hash(program: &Program, method: MethodId) -> u64 {
+    let mut h = FxHasher::default();
+    let m = &program.methods[method];
+    m.is_native.hash(&mut h);
+    let Some(body) = &m.body else {
+        return h.finish();
+    };
+    // The generator consults parameter vars (receiver seeding) and each
+    // var's reference-ness (`is_ref_var` guards).
+    body.params.hash(&mut h);
+    for (_, info) in body.vars.iter_enumerated() {
+        info.ty.is_reference().hash(&mut h);
+    }
+    for (loc, instr) in body.instrs() {
+        hash_site(loc, &instr.kind, &mut h);
+    }
+    h.finish()
+}
+
+/// Hashes the constraint-relevant projection of one instruction (no-op for
+/// non-generation sites). Tags keep distinct variants from colliding.
+fn hash_site(loc: Loc, kind: &InstrKind, h: &mut FxHasher) {
+    let var = |o: &Operand, h: &mut FxHasher| {
+        if let Operand::Var(v) = o {
+            1u8.hash(h);
+            v.hash(h);
+        } else {
+            0u8.hash(h);
+        }
+    };
+    match kind {
+        InstrKind::New { dst, class } => {
+            (loc, 0u8, dst, class).hash(h);
+        }
+        InstrKind::NewArray { dst, elem, .. } => {
+            (loc, 1u8, dst).hash(h);
+            elem.hash(h);
+        }
+        InstrKind::StrConst { dst, .. } => (loc, 2u8, dst).hash(h),
+        InstrKind::StrConcat { dst, .. } => (loc, 3u8, dst).hash(h),
+        InstrKind::Move {
+            dst,
+            src: Operand::Var(s),
+        } => (loc, 4u8, dst, s).hash(h),
+        InstrKind::Phi { dst, args } => {
+            (loc, 5u8, dst).hash(h);
+            for (_, a) in args {
+                var(a, h);
+            }
+        }
+        InstrKind::Cast {
+            dst,
+            ty,
+            src: Operand::Var(s),
+        } => {
+            (loc, 6u8, dst, s).hash(h);
+            ty.hash(h);
+        }
+        InstrKind::Load { dst, base, field } => (loc, 7u8, dst, base, field).hash(h),
+        InstrKind::Store {
+            base,
+            field,
+            value: Operand::Var(v),
+        } => (loc, 8u8, base, field, v).hash(h),
+        InstrKind::StaticLoad { dst, field } => (loc, 9u8, dst, field).hash(h),
+        InstrKind::StaticStore {
+            field,
+            value: Operand::Var(v),
+        } => (loc, 10u8, field, v).hash(h),
+        InstrKind::ArrayLoad { dst, base, .. } => (loc, 11u8, dst, base).hash(h),
+        InstrKind::ArrayStore {
+            base,
+            value: Operand::Var(v),
+            ..
+        } => (loc, 12u8, base, v).hash(h),
+        InstrKind::Return {
+            value: Some(Operand::Var(v)),
+        } => (loc, 13u8, v).hash(h),
+        InstrKind::Call {
+            dst,
+            kind,
+            callee,
+            args,
+        } => {
+            (loc, 14u8, dst, kind, callee, args.len()).hash(h);
+            for a in args {
+                var(a, h);
+            }
+        }
+        _ => {}
+    }
 }
 
 /// Encodes a [`PtaConfig`] canonically; two configs are compatible exactly

@@ -10,7 +10,6 @@
 
 use crate::callgraph::{CallGraph, CgNode, Ctx};
 use crate::heap::{AbstractObject, AllocSite, ObjId, ObjKind};
-use crate::incr::GenCache;
 use crate::PtaConfig;
 use thinslice_ir::{
     CallKind, ClassId, FieldId, InstrKind, Loc, MethodId, Operand, Program, StmtRef, Type, Var,
@@ -92,25 +91,15 @@ pub struct SolverResult {
     pub stats: SolveStats,
 }
 
-/// Runs the points-to analysis from `program`'s `main`.
-pub fn solve(program: &Program, config: &PtaConfig) -> SolverResult {
-    let mut cache = GenCache::new();
-    Solver::new(program, config, &mut cache).run()
-}
-
-/// Like [`solve`], but metered — it stops pulling worklist items once
-/// `meter` is exhausted and labels the (sound, partial) result accordingly
-/// — and replaying per-method generation streams from (and retaining new
-/// ones into) `cache`, the incremental-update entry point. With a warm
-/// cache the result is bit-identical to a cold one, because cached streams
-/// are byte-equal to freshly built ones for unchanged methods.
-pub fn solve_governed_cached(
+/// Runs the points-to analysis from `program`'s `main`, metered: it stops
+/// pulling worklist items once `meter` is exhausted and labels the (sound,
+/// partial) result accordingly. An unlimited meter always completes.
+pub fn solve(
     program: &Program,
     config: &PtaConfig,
     meter: &mut Meter,
-    cache: &mut GenCache,
 ) -> (SolverResult, Completeness) {
-    Solver::new(program, config, cache).run_governed(meter)
+    Solver::new(program, config).run(meter)
 }
 
 struct Solver<'p> {
@@ -133,13 +122,10 @@ struct Solver<'p> {
     worklist: Worklist<PtrNode>,
     edge_count: usize,
     stats: SolveStats,
-    /// Per-method generation streams, shared across context clones and —
-    /// when the caller keeps the cache — across incremental re-solves.
-    cache: &'p mut GenCache,
 }
 
 impl<'p> Solver<'p> {
-    fn new(program: &'p Program, config: &'p PtaConfig, cache: &'p mut GenCache) -> Self {
+    fn new(program: &'p Program, config: &'p PtaConfig) -> Self {
         let container_classes = config
             .container_classes
             .iter()
@@ -162,15 +148,10 @@ impl<'p> Solver<'p> {
             worklist: Worklist::new(),
             edge_count: 0,
             stats: SolveStats::default(),
-            cache,
         }
     }
 
-    fn run(self) -> SolverResult {
-        self.run_governed(&mut Meter::unlimited()).0
-    }
-
-    fn run_governed(mut self, meter: &mut Meter) -> (SolverResult, Completeness) {
+    fn run(mut self, meter: &mut Meter) -> (SolverResult, Completeness) {
         let (main, _) = self.cg.intern(self.program.main_method, Ctx::Insensitive);
         self.process_method(main);
         while let Some(n) = self.worklist.pop() {
@@ -539,9 +520,8 @@ impl<'p> Solver<'p> {
             }
         }
 
-        let stmts = self.cache.stream(self.program, m);
-        for &(loc, ref kind) in stmts.iter() {
-            self.gen_constraints(inst, m, loc, kind);
+        for (loc, instr) in body.instrs() {
+            self.gen_constraints(inst, m, loc, &instr.kind);
         }
     }
 
@@ -715,7 +695,7 @@ mod tests {
     fn analyze(src: &str) -> (thinslice_ir::Program, SolverResult) {
         let p = compile(&[("t.mj", src)]).unwrap();
         let cfg = PtaConfig::default();
-        let r = solve(&p, &cfg);
+        let (r, _) = solve(&p, &cfg, &mut Meter::unlimited());
         (p, r)
     }
 
@@ -867,7 +847,7 @@ mod tests {
             object_sensitive_containers: false,
             ..PtaConfig::default()
         };
-        let r = solve(&p, &cfg);
+        let (r, _) = solve(&p, &cfg, &mut Meter::unlimited());
         let oa = pts_of_main_var(&p, &r, "oa");
         let b_class = p.class_named("B").unwrap();
         assert!(

@@ -57,11 +57,10 @@ pub fn build_ci_ctx(program: &Program, pta: &Pta, ctx: &RunCtx) -> (Sdg, Complet
 }
 
 /// Like [`build_ci_ctx`], but serving per-method def-site/control-dependence
-/// artifacts from (and retaining new ones into) `cache` — the incremental
-/// rebuild entry point. With an empty cache this is exactly
-/// [`build_ci_ctx`]; with a warm cache the graph is still bit-identical,
-/// because cached artifacts equal freshly computed ones for unchanged
-/// methods and interning order is unaffected.
+/// artifacts from (and retaining new ones into) `cache`, so a later
+/// [`crate::build_cs_cached`] over the same program reuses them. The graph
+/// is bit-identical to [`build_ci_ctx`]'s, because cached artifacts equal
+/// freshly computed ones and interning order is unaffected.
 pub fn build_ci_cached(
     program: &Program,
     pta: &Pta,
@@ -120,7 +119,7 @@ struct Builder<'p> {
     def_sites: FxHashMap<MethodId, crate::cache::DefSites>,
     /// Per method: control dependences (shared by all clones).
     control: FxHashMap<MethodId, std::sync::Arc<crate::control::ControlDeps>>,
-    /// External per-method artifact cache (incremental rebuilds).
+    /// External per-method artifact cache (shared across a session's builds).
     cache: Option<&'p mut SdgCache>,
 }
 
@@ -166,7 +165,7 @@ impl<'p> Builder<'p> {
             .collect();
 
         // Per-method caches, served from the external cache when one is
-        // attached (incremental rebuilds reuse unchanged methods' entries).
+        // attached (a session's CS build reuses its CI build's entries).
         for &(_, m) in &instances {
             if self.def_sites.contains_key(&m) {
                 continue;

@@ -1,16 +1,14 @@
-//! Per-method artifact cache for incremental SDG rebuilds.
+//! Per-method artifact cache shared by a session's SDG builds.
 //!
 //! SDG construction spends its per-method (as opposed to per-instance)
 //! work on two artifacts that depend only on a method's *body*: the SSA
 //! def-site map and the control-dependence relation. Both are independent
 //! of the points-to result and of the heap mode, so one cache serves the
-//! CI and CS builds alike, and after an edit only the changed methods'
-//! entries need recomputing — everything else is shared by `Arc`.
+//! CI and CS builds alike: the CS build of a session reuses, by `Arc`,
+//! everything its CI build already computed.
 //!
-//! Cache entries are keyed by [`MethodId`], so they are valid only while
-//! identifier numbering is stable: invalidate changed methods on body-only
-//! edits ([`SdgCache::invalidate`]) and drop everything on structural
-//! edits ([`SdgCache::clear`]).
+//! Cache entries are keyed by [`MethodId`], so one cache is valid for one
+//! [`Program`] only.
 
 use std::sync::Arc;
 
@@ -26,10 +24,6 @@ pub type DefSites = Arc<FxHashMap<Var, Loc>>;
 #[derive(Debug, Default)]
 pub struct SdgCache {
     entries: FxHashMap<MethodId, (DefSites, Arc<ControlDeps>)>,
-    /// Entries served from cache.
-    pub hits: u64,
-    /// Entries computed because the cache had no valid one.
-    pub misses: u64,
 }
 
 impl SdgCache {
@@ -42,10 +36,8 @@ impl SdgCache {
     /// retaining them on first use. `method` must have a body.
     pub fn entry(&mut self, program: &Program, method: MethodId) -> (DefSites, Arc<ControlDeps>) {
         if let Some((defs, control)) = self.entries.get(&method) {
-            self.hits += 1;
             return (Arc::clone(defs), Arc::clone(control));
         }
-        self.misses += 1;
         let body = program.methods[method].body.as_ref().expect("body");
         let defs: DefSites = Arc::new(
             body.instrs()
@@ -56,29 +48,6 @@ impl SdgCache {
         self.entries
             .insert(method, (Arc::clone(&defs), Arc::clone(&control)));
         (defs, control)
-    }
-
-    /// Drops the entries of `dirty` methods (body edits with stable
-    /// identifier numbering).
-    pub fn invalidate(&mut self, dirty: &[MethodId]) {
-        for m in dirty {
-            self.entries.remove(m);
-        }
-    }
-
-    /// Drops every entry (structural edits renumber `MethodId`s).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Number of retained per-method entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// A rough element count of the retained artifacts (def sites plus
@@ -100,7 +69,7 @@ mod tests {
     use thinslice_ir::compile;
 
     #[test]
-    fn entries_are_shared_and_invalidation_recomputes() {
+    fn entries_are_shared_across_lookups() {
         let p = compile(&[(
             "t.mj",
             "class Main { static void main() { int x = 1; if (x > 0) { print(x); } } }",
@@ -110,10 +79,5 @@ mod tests {
         let (d1, c1) = cache.entry(&p, p.main_method);
         let (d2, c2) = cache.entry(&p, p.main_method);
         assert!(Arc::ptr_eq(&d1, &d2) && Arc::ptr_eq(&c1, &c2));
-        assert_eq!((cache.hits, cache.misses), (1, 1));
-        cache.invalidate(&[p.main_method]);
-        assert!(cache.is_empty());
-        let (d3, _) = cache.entry(&p, p.main_method);
-        assert_eq!(*d1, *d3, "recomputed def sites must be identical");
     }
 }

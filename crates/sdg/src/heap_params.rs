@@ -40,8 +40,8 @@ pub fn build_cs_ctx(program: &Program, pta: &Pta, modref: &ModRef, ctx: &RunCtx)
 }
 
 /// Like [`build_cs_ctx`], but serving per-method skeleton artifacts from
-/// (and retaining new ones into) `cache` — the incremental rebuild entry
-/// point, bit-identical to a cold build for the same inputs.
+/// (and retaining new ones into) `cache` — bit-identical to a cold build
+/// for the same inputs.
 pub fn build_cs_cached(
     program: &Program,
     pta: &Pta,

@@ -38,7 +38,6 @@ pub mod builder;
 pub mod cache;
 pub mod control;
 pub mod csr;
-pub mod fingerprint;
 pub mod heap_params;
 pub mod node;
 pub mod snap;
@@ -47,7 +46,6 @@ pub mod stats;
 pub use builder::{build_ci, build_ci_cached, build_ci_ctx};
 pub use cache::SdgCache;
 pub use csr::{DenseDisplay, DepGraph, DownConsumers, FilteredCsr, FrozenSdg, NO_DISPLAY};
-pub use fingerprint::body_fingerprint;
 pub use heap_params::{build_cs, build_cs_cached, build_cs_ctx};
 pub use node::{Edge, EdgeKind, NodeId, NodeKind};
 pub use stats::SdgStats;
@@ -190,20 +188,12 @@ impl Sdg {
         self.edge_count
     }
 
-    /// Number of method instances (call-graph clones) with nodes in the
-    /// graph — the CSR segment count for incremental accounting.
-    pub fn instance_count(&self) -> usize {
-        self.method_of_inst.len()
-    }
-
     /// Structural equality: same heap mode, same node interning order, and
     /// identical per-node dependence lists.
     ///
     /// Because the frozen CSR, its traversal permutation, and every slice
     /// answer are pure functions of this structure (plus seeds), two graphs
-    /// for which this holds yield byte-identical slicer output — the test
-    /// the incremental session uses to keep a previous freeze and its memo
-    /// tables after an edit.
+    /// for which this holds yield byte-identical slicer output.
     pub fn same_graph(&self, other: &Sdg) -> bool {
         self.mode == other.mode && self.nodes == other.nodes && self.deps == other.deps
     }

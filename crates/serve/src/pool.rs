@@ -37,7 +37,7 @@
 use std::sync::Arc;
 
 use crate::protocol::{SessionRow, SourceFile};
-use thinslice::{AnalysisSession, SnapshotLoad, SnapshotStore, UpdateStats};
+use thinslice::{AnalysisSession, SnapshotLoad, SnapshotStore};
 use thinslice_ir::CompileError;
 use thinslice_pta::PtaConfig;
 use thinslice_util::telemetry::{FlightKind, FlightRecorder, Telemetry};
@@ -100,10 +100,6 @@ pub struct PoolStats {
     pub rebuilds: u64,
     /// Reload ops applied (source swaps under a preserved pool key).
     pub reloads: u64,
-    /// Reloads served by updating a resident session in place; the
-    /// remainder had to rebuild from the new sources. The ratio is the
-    /// fleet's incremental-reuse rate.
-    pub reloads_incremental: u64,
     /// Session builds satisfied by a warm-start snapshot restore
     /// (a subset of `builds` — a restore still materialises a session).
     pub snapshot_hits: u64,
@@ -204,11 +200,6 @@ pub struct ReloadOutcome {
     pub hash: String,
     /// The hash of the entry's current (new) sources.
     pub content: String,
-    /// Whether the session had to be rebuilt from scratch because it was
-    /// not resident (eviction/quarantine); `stats` is zeroed then.
-    pub rebuilt: bool,
-    /// The session's update accounting.
-    pub stats: UpdateStats,
     /// Resident estimate after the reload.
     pub resident: usize,
 }
@@ -459,9 +450,11 @@ impl SessionPool {
         })
     }
 
-    /// Swaps a registered program's sources under its existing pool key,
-    /// incrementally updating the resident session (or rebuilding from
-    /// the new sources when the session is evicted or quarantined).
+    /// Swaps a registered program's sources under its existing pool key
+    /// and replaces the session with a fresh lazy one over the new sources
+    /// (restored from a snapshot of that content when one exists). The
+    /// stages the old session had built are rebuilt by the next query that
+    /// needs them, outside the pool lock.
     ///
     /// The pool key — and therefore every client-held program handle —
     /// survives the reload; only the reported content hash changes.
@@ -479,90 +472,39 @@ impl SessionPool {
         let i = self.find(hash).ok_or(PoolError::UnknownProgram)?;
         let content = program_hash(&new_sources);
         let now = self.tick();
-        if let Some(mut session) = self.entries[i].session.take() {
-            let refs: Vec<(&str, &str)> = new_sources
-                .iter()
-                .map(|s| (s.name.as_str(), s.text.as_str()))
-                .collect();
-            match session.update(&refs) {
-                Ok(stats) => {
-                    let resident = session.resident_estimate();
-                    // The on-disk snapshot of the old sources is stale
-                    // the moment the reload lands; replace it with one
-                    // for the new content.
-                    let stale = self.entries[i].content.clone();
-                    if stale != content {
-                        self.invalidate_snapshot(&stale);
-                    }
-                    self.persist(&session, &content);
-                    let e = &mut self.entries[i];
-                    e.session = Some(session);
-                    e.sources = new_sources;
-                    e.content = content.clone();
-                    e.resident = resident;
-                    e.last_used = now;
-                    self.stats.reloads += 1;
-                    self.stats.reloads_incremental += 1;
-                    self.flight(
-                        FlightKind::SessionUpdated,
-                        hash,
-                        stats.methods_changed as u64,
-                        u64::from(stats.any_reuse()),
-                    );
-                    self.enforce_limits();
-                    Ok(ReloadOutcome {
-                        hash: hash.to_string(),
-                        content,
-                        rebuilt: false,
-                        stats,
-                        resident,
-                    })
-                }
-                Err(err) => {
-                    // update() leaves the session untouched on a compile
-                    // error; restore it and report.
-                    let e = &mut self.entries[i];
-                    e.session = Some(session);
-                    e.last_used = now;
-                    Err(PoolError::Compile(err))
-                }
+        let session = match self.warm_start(&content) {
+            Some(session) => session,
+            None => {
+                let session = self
+                    .build_session(&new_sources)
+                    .map_err(PoolError::Compile)?;
+                self.persist(&session, &content);
+                session
             }
-        } else {
-            // Evicted or quarantined: build directly from the new sources.
-            let session = match self.warm_start(&content) {
-                Some(session) => session,
-                None => {
-                    let session = self
-                        .build_session(&new_sources)
-                        .map_err(PoolError::Compile)?;
-                    self.persist(&session, &content);
-                    session
-                }
-            };
-            self.stats.builds += 1;
-            let stale = self.entries[i].content.clone();
-            if stale != content {
-                self.invalidate_snapshot(&stale);
-            }
-            let resident = session.resident_estimate();
-            let e = &mut self.entries[i];
-            e.session = Some(session);
-            e.sources = new_sources;
-            e.content = content.clone();
-            e.resident = resident;
-            e.quarantined = false;
-            e.last_used = now;
-            self.stats.reloads += 1;
-            self.flight(FlightKind::SessionUpdated, hash, 0, 0);
-            self.enforce_limits();
-            Ok(ReloadOutcome {
-                hash: hash.to_string(),
-                content,
-                rebuilt: true,
-                stats: UpdateStats::default(),
-                resident,
-            })
+        };
+        self.stats.builds += 1;
+        // The on-disk snapshot of the old sources is stale the moment the
+        // reload lands.
+        let stale = self.entries[i].content.clone();
+        if stale != content {
+            self.invalidate_snapshot(&stale);
         }
+        let resident = session.resident_estimate();
+        let e = &mut self.entries[i];
+        e.session = Some(session);
+        e.sources = new_sources;
+        e.content = content.clone();
+        e.resident = resident;
+        e.quarantined = false;
+        e.last_used = now;
+        self.stats.reloads += 1;
+        self.flight(FlightKind::SessionUpdated, hash, 0, 0);
+        self.enforce_limits();
+        Ok(ReloadOutcome {
+            hash: hash.to_string(),
+            content,
+            resident,
+        })
     }
 
     /// Returns a checked-out session, refreshing its resident estimate
@@ -852,16 +794,15 @@ mod tests {
     fn reload_updates_in_place_under_the_same_key() {
         let mut pool = SessionPool::new(PoolConfig::default(), Telemetry::disabled());
         let h = pool.register(main_with(1)).unwrap().hash;
-        // Warm the lazy stages so the reload has something to reuse.
+        // Warm the lazy stages: the reload drops them all.
         slice_line_2(&mut pool, &h);
+        let warm = pool.session_rows()[0].resident;
         let out = pool.reload(&h, main_with(2)).unwrap();
         assert_eq!(out.hash, h, "pool key lineage preserved");
         assert_ne!(out.content, h, "content hash tracks the new sources");
         assert_eq!(out.content, program_hash(&main_with(2)));
-        assert!(!out.rebuilt);
-        assert!(!out.stats.structural, "int tweak is a body-only edit");
-        assert!(out.stats.pta_reused, "constant edits keep the solver");
-        assert_eq!((pool.stats.reloads, pool.stats.reloads_incremental), (1, 1));
+        assert!(out.resident < warm, "the reloaded session starts lazy");
+        assert_eq!((pool.stats.reloads, pool.stats.builds), (1, 2));
         // The row exposes both hashes.
         let rows = pool.session_rows();
         assert_eq!(rows[0].program, h);
@@ -878,11 +819,9 @@ mod tests {
         let h = pool.register(main_with(1)).unwrap().hash;
         let co = pool.checkout(&h).unwrap();
         pool.quarantine(co);
-        let out = pool.reload(&h, main_with(2)).unwrap();
-        assert!(out.rebuilt);
-        assert_eq!(out.stats, thinslice::UpdateStats::default());
+        pool.reload(&h, main_with(2)).unwrap();
         assert_eq!(pool.quarantined(), 0, "reload clears quarantine");
-        assert_eq!((pool.stats.reloads, pool.stats.reloads_incremental), (1, 0));
+        assert_eq!(pool.stats.reloads, 1);
         let mut fresh = SessionPool::new(PoolConfig::default(), Telemetry::disabled());
         let fh = fresh.register(main_with(2)).unwrap().hash;
         assert_eq!(slice_line_2(&mut pool, &h), slice_line_2(&mut fresh, &fh));
@@ -903,6 +842,10 @@ mod tests {
         assert_eq!(pool.stats.reloads, 0);
         let rows = pool.session_rows();
         assert_eq!(rows[0].content, h, "content hash unchanged on failure");
+        assert!(
+            rows[0].live,
+            "the resident session survives a failed reload"
+        );
         // Still serves the original program.
         let mut fresh = SessionPool::new(PoolConfig::default(), Telemetry::disabled());
         let fh = fresh.register(main_with(1)).unwrap().hash;
@@ -914,9 +857,8 @@ mod tests {
         let mut pool = SessionPool::new(PoolConfig::default(), Telemetry::disabled());
         let h = pool.register(main_with(1)).unwrap().hash;
         let co = pool.checkout(&h).unwrap();
-        // Reload lands while the session is out: rebuild path.
-        let out = pool.reload(&h, main_with(2)).unwrap();
-        assert!(out.rebuilt);
+        // Reload lands while the session is out.
+        pool.reload(&h, main_with(2)).unwrap();
         // The stale (v1) session must not clobber the reloaded (v2) one.
         pool.checkin(co);
         let mut fresh = SessionPool::new(PoolConfig::default(), Telemetry::disabled());

@@ -114,8 +114,8 @@ pub enum Op {
     },
     /// Answer a slice query.
     Slice(SliceRequest),
-    /// Swap a registered program's sources in place, incrementally
-    /// re-analysing the resident session. The pool key (`program`) is
+    /// Swap a registered program's sources in place and re-open the
+    /// program's session lazily on them. The pool key (`program`) is
     /// preserved — the entry's lineage continues — while the reported
     /// `content` hash tracks the current sources.
     Reload {
@@ -520,53 +520,23 @@ pub fn load_line(id: Option<u64>, program: &str, cached: bool, resident: usize) 
     )
 }
 
-/// Which invalidation path a `reload` took; reported in the response.
-pub fn reload_path(rebuilt: bool, stats: &UpdateStats) -> &'static str {
-    if rebuilt {
-        "rebuild"
-    } else if stats.noop {
-        "noop"
-    } else if stats.structural || stats.undiffed {
-        "structural"
-    } else {
-        "incremental"
-    }
+/// The path a `reload` took, as reported in its response: always
+/// `"rebuild"`, since every reload re-opens the session lazily on the new
+/// sources. The arguments are ignored.
+pub fn reload_path(_rebuilt: bool, _stats: &UpdateStats) -> &'static str {
+    "rebuild"
 }
 
 /// Serializes a successful `reload` response: the preserved pool key, the
-/// new content hash, the invalidation path, and the work/reuse counters
-/// from the session update (all zero for a non-resident rebuild).
-/// Deterministic: fixed key order, no timing fields.
-pub fn reload_line(
-    id: Option<u64>,
-    program: &str,
-    content: &str,
-    rebuilt: bool,
-    stats: &UpdateStats,
-    resident: usize,
-) -> String {
+/// new content hash, the path (always `"rebuild"`) and the new session's
+/// resident estimate. Deterministic: fixed key order, no timing fields.
+pub fn reload_line(id: Option<u64>, program: &str, content: &str, resident: usize) -> String {
     format!(
-        "{},\"program\":{},\"content\":{},\"path\":{},\"methods_total\":{},\
-         \"methods_changed\":{},\"pta_reused\":{},\"ci_graph_reused\":{},\
-         \"cs_graph_reused\":{},\"constraints_total\":{},\"constraints_retracted\":{},\
-         \"constraints_readded\":{},\"csr_segments_total\":{},\"csr_segments_refrozen\":{},\
-         \"memo_invalidated\":{},\"memo_kept\":{},\"resident\":{resident}}}",
+        "{},\"program\":{},\"content\":{},\"path\":{},\"resident\":{resident}}}",
         head(id, true, Some("reload")),
         esc(program),
         esc(content),
-        esc(reload_path(rebuilt, stats)),
-        stats.methods_total,
-        stats.methods_changed,
-        stats.pta_reused,
-        stats.ci_graph_reused,
-        stats.cs_graph_reused,
-        stats.constraints_total,
-        stats.constraints_retracted,
-        stats.constraints_readded,
-        stats.csr_segments_total,
-        stats.csr_segments_refrozen,
-        stats.memo_entries_invalidated,
-        stats.memo_entries_kept,
+        esc(reload_path(true, &UpdateStats::default())),
     )
 }
 
@@ -828,8 +798,6 @@ pub struct StatsSnapshot {
     pub pool_quarantines: u64,
     /// Reload ops applied so far.
     pub pool_reloads: u64,
-    /// Reloads that updated a resident session in place (vs rebuilt).
-    pub pool_reloads_incremental: u64,
     /// Session builds satisfied by a warm-start snapshot restore.
     pub snapshot_hits: u64,
     /// Builds that looked for a snapshot and found no file.
@@ -866,7 +834,7 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
         "{{\"schema\":{},\"uptime_ms\":{},\"pool\":{{\"programs\":{},\"live_sessions\":{},\
          \"capacity\":{},\"quarantined\":{},\"resident\":{},\"hits\":{},\"misses\":{},\
          \"builds\":{},\"evictions\":{},\"quarantines\":{},\"rebuilds\":{},\
-         \"reloads\":{},\"reloads_incremental\":{},\"snapshot_hits\":{},\
+         \"reloads\":{},\"snapshot_hits\":{},\
          \"snapshot_misses\":{},\"snapshot_writes\":{},\"snapshot_discarded_corrupt\":{}}},\
          \"server\":{{\"served\":{},\"errors\":{},\"panics\":{},\"recorded\":{},\
          \"recorder_capacity\":{}}}",
@@ -884,7 +852,6 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
         s.pool_quarantines,
         s.status.rebuilds,
         s.pool_reloads,
-        s.pool_reloads_incremental,
         s.snapshot_hits,
         s.snapshot_misses,
         s.snapshot_writes,
@@ -1062,28 +1029,10 @@ pub fn validate_response_line(line: &str) -> Result<String, String> {
                 }
             }
             let path = need_str(&v, "path")?;
-            if !matches!(path, "noop" | "incremental" | "structural" | "rebuild") {
+            if path != "rebuild" {
                 return Err(format!("unknown reload path {path:?}"));
             }
-            for key in [
-                "methods_total",
-                "methods_changed",
-                "constraints_total",
-                "constraints_retracted",
-                "constraints_readded",
-                "csr_segments_total",
-                "csr_segments_refrozen",
-                "memo_invalidated",
-                "memo_kept",
-                "resident",
-            ] {
-                need_u64(&v, key)?;
-            }
-            for key in ["pta_reused", "ci_graph_reused", "cs_graph_reused"] {
-                if !matches!(v.get(key), Some(Json::Bool(_))) {
-                    return Err(format!("field {key:?} must be a boolean"));
-                }
-            }
+            need_u64(&v, "resident")?;
             Ok(format!("ok reload id={id} path={path}"))
         }
         "slice" => {
@@ -1201,7 +1150,6 @@ pub fn validate_stats_doc(v: &Json) -> Result<String, String> {
         "quarantines",
         "rebuilds",
         "reloads",
-        "reloads_incremental",
         "snapshot_hits",
         "snapshot_misses",
         "snapshot_writes",
@@ -1529,56 +1477,22 @@ mod tests {
 
     #[test]
     fn reload_lines_serialize_and_validate() {
-        let stats = UpdateStats {
-            methods_total: 4,
-            methods_changed: 1,
-            pta_reused: true,
-            ci_graph_reused: true,
-            cs_graph_reused: true,
-            constraints_total: 20,
-            csr_segments_total: 6,
-            memo_entries_kept: 3,
-            ..UpdateStats::default()
-        };
-        let line = reload_line(
-            Some(8),
-            "0011223344556677",
-            "ffeeddccbbaa9988",
-            false,
-            &stats,
-            420,
-        );
+        let line = reload_line(Some(8), "0011223344556677", "ffeeddccbbaa9988", 420);
         assert_eq!(
             validate_response_line(&line).unwrap(),
-            "ok reload id=8 path=incremental"
+            "ok reload id=8 path=rebuild"
         );
         // Deterministic serialization (no timing fields).
         assert_eq!(
             line,
-            reload_line(
-                Some(8),
-                "0011223344556677",
-                "ffeeddccbbaa9988",
-                false,
-                &stats,
-                420,
-            )
+            reload_line(Some(8), "0011223344556677", "ffeeddccbbaa9988", 420)
         );
         assert!(line.contains("\"content\":\"ffeeddccbbaa9988\""));
-        assert!(line.contains("\"pta_reused\":true"));
-        // Path classification covers all four outcomes.
-        assert_eq!(reload_path(true, &stats), "rebuild");
-        assert_eq!(reload_path(false, &UpdateStats::default()), "incremental");
-        let noop = UpdateStats {
-            noop: true,
-            ..UpdateStats::default()
-        };
-        assert_eq!(reload_path(false, &noop), "noop");
-        let structural = UpdateStats {
-            structural: true,
-            ..UpdateStats::default()
-        };
-        assert_eq!(reload_path(false, &structural), "structural");
+        assert!(line.contains("\"resident\":420"));
+        // Every reload is a rebuild, whatever the caller passes.
+        assert_eq!(reload_path(false, &UpdateStats::default()), "rebuild");
+        let bad = line.replace("\"rebuild\"", "\"incremental\"");
+        assert!(validate_response_line(&bad).is_err());
     }
 
     #[test]

@@ -359,9 +359,9 @@ impl Server {
     }
 
     /// Answers a `reload` synchronously on the reader thread, like `load`:
-    /// the pool swaps the entry's sources under its existing key and
-    /// updates (or rebuilds) the session before the response is written,
-    /// so every later query on that key sees the new program.
+    /// the pool swaps the entry's sources under its existing key and opens
+    /// a fresh lazy session before the response is written, so every later
+    /// query on that key sees the new program.
     fn handle_reload(
         &self,
         id: Option<u64>,
@@ -383,10 +383,7 @@ impl Server {
             return;
         }
         match self.pool.lock().unwrap().reload(&program, sources) {
-            Ok(r) => self.write_ok(
-                out,
-                &reload_line(id, &r.hash, &r.content, r.rebuilt, &r.stats, r.resident),
-            ),
+            Ok(r) => self.write_ok(out, &reload_line(id, &r.hash, &r.content, r.resident)),
             Err(PoolError::UnknownProgram) => self.write_err(
                 out,
                 id,
@@ -464,7 +461,6 @@ impl Server {
             pool_builds: pool_stats.builds,
             pool_quarantines: pool_stats.quarantines,
             pool_reloads: pool_stats.reloads,
-            pool_reloads_incremental: pool_stats.reloads_incremental,
             snapshot_hits: pool_stats.snapshot_hits,
             snapshot_misses: pool_stats.snapshot_misses,
             snapshot_writes: pool_stats.snapshot_writes,

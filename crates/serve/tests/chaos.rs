@@ -805,8 +805,7 @@ fn reload_serves_the_edited_program_under_the_original_key() {
     let r = by_id(&lines);
     assert_eq!(field(&r[&2], "program"), Json::Str(h1.clone()));
     assert_eq!(field(&r[&2], "content"), Json::Str(h2.clone()));
-    assert_eq!(field(&r[&2], "path"), Json::Str("incremental".into()));
-    assert_eq!(field(&r[&2], "pta_reused"), Json::Bool(true));
+    assert_eq!(field(&r[&2], "path"), Json::Str("rebuild".into()));
 
     // Fresh daemon loads program 2 directly; slices must be byte-equal
     // modulo the program hash they are addressed by.
@@ -827,10 +826,6 @@ fn reload_serves_the_edited_program_under_the_original_key() {
     assert_eq!(row.get("content").and_then(Json::as_str), Some(h2.as_str()));
     let pool = doc.get("pool").unwrap();
     assert_eq!(pool.get("reloads").and_then(Json::as_u64), Some(1));
-    assert_eq!(
-        pool.get("reloads_incremental").and_then(Json::as_u64),
-        Some(1)
-    );
 }
 
 /// A fresh scratch directory for one test's snapshot store.
@@ -858,7 +853,8 @@ fn pool_counter(doc: &Json, key: &str) -> u64 {
 }
 
 /// Snapshot chaos: a daemon pointed at truncated, bit-flipped, and
-/// version-skewed snapshot files stays up, rebuilds from sources, and
+/// version-skewed snapshot files (a future version, and a checksum-valid
+/// file in the retired v1 layout) stays up, rebuilds from sources, and
 /// answers bit-identically to a daemon with no snapshot directory.
 #[test]
 fn corrupt_snapshot_files_fall_back_to_clean_rebuilds() {
@@ -888,20 +884,32 @@ fn corrupt_snapshot_files_fall_back_to_clean_rebuilds() {
     let path = SnapshotStore::new(&dir).path(&h);
     let pristine = std::fs::read(&path).expect("daemon persisted a snapshot");
 
-    // Three sabotage modes: truncation, a mid-file bit flip, and a
-    // well-formed file written under a future format version.
+    // Four sabotage modes: truncation, a mid-file bit flip, a
+    // well-formed file written under a future format version, and a
+    // well-formed v1 file: the pristine sections plus the `fingerprints`
+    // section v1 carried, under version 1 with a valid checksum.
     let mut flipped = pristine.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x08;
     let mut skewed = thinslice_util::SnapshotWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION + 1, &h);
     skewed.section("config", vec![1, 2, 3]);
+    let current =
+        thinslice_util::SnapshotReader::open(&pristine, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap();
+    let mut v1 = thinslice_util::SnapshotWriter::new(SNAPSHOT_MAGIC, 1, &h);
+    for name in current.section_names() {
+        v1.section(name, current.section(name).unwrap().to_vec());
+    }
+    v1.section("fingerprints", vec![0]);
+    let v1 = v1.finish();
+    assert!(thinslice_util::SnapshotReader::open(&v1, SNAPSHOT_MAGIC, 1).is_ok());
     let cases: Vec<(&str, Vec<u8>)> = vec![
         ("truncated", pristine[..pristine.len() / 3].to_vec()),
         ("bit-flipped", flipped),
         ("version-skewed", skewed.finish()),
+        ("v1", v1),
     ];
-    for (label, bytes) in cases {
-        std::fs::write(&path, &bytes).unwrap();
+    for (label, bytes) in &cases {
+        std::fs::write(&path, bytes).unwrap();
         let (lines, summary) = run_script(snap_cfg(&dir), &script);
         assert_eq!(summary.errors, 0, "{label}: corruption never errors");
         let got = by_id(&lines);
@@ -914,9 +922,15 @@ fn corrupt_snapshot_files_fall_back_to_clean_rebuilds() {
     }
 
     // The discard is visible in the stats document.
-    std::fs::write(&path, &pristine[..pristine.len() / 3]).unwrap();
-    let doc = stats_after(snap_cfg(&dir), &script[..script.len() - 1]);
-    assert_eq!(pool_counter(&doc, "snapshot_discarded_corrupt"), 1);
+    for (label, bytes) in &cases {
+        std::fs::write(&path, bytes).unwrap();
+        let doc = stats_after(snap_cfg(&dir), &script[..script.len() - 1]);
+        assert_eq!(
+            pool_counter(&doc, "snapshot_discarded_corrupt"),
+            1,
+            "{label}: discarded"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

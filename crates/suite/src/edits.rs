@@ -1,13 +1,12 @@
 //! Seeded compile-safe edit scripts over MJ sources.
 //!
-//! The incremental-reanalysis equivalence suite needs a stream of *edits*
-//! that (a) always leave the program compiling, (b) cover every
-//! invalidation path of [`thinslice::AnalysisSession::update`] — no-op
-//! comment tweaks, body-only literal tweaks, statement insertions, and
-//! structural method additions — and (c) are fully reproducible from a
-//! seed, so a failing round can be replayed. This module is that
-//! generator; it is shared by the workspace equivalence tests and the
-//! `incremental` bench row.
+//! The [`thinslice::AnalysisSession::update`] equivalence suite needs a
+//! stream of *edits* that (a) always leave the program compiling, (b)
+//! change the program in different ways — comments, literal tweaks,
+//! statement insertions, and method additions — and (c) are fully
+//! reproducible from a seed, so a failing round can be replayed. This
+//! module is that generator; it is shared by the workspace equivalence
+//! and soundness tests and the edit workloads of `perfbench`.
 //!
 //! Edits are *textual*: the generator scans the source for safe anchor
 //! points (statement lines, integer literals, block openers, class
@@ -17,22 +16,20 @@
 
 use thinslice_util::SmallRng;
 
-/// The kind of one generated edit, in increasing order of invalidation
-/// cost for the incremental session.
+/// The kind of one generated edit, in increasing order of how much of
+/// the compiled program it changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EditKind {
-    /// A `//` comment inserted on its own line: the normalized AST is
-    /// unchanged, so the session's diff classifies the edit as a no-op.
+    /// A `//` comment inserted on its own line: only source spans move.
     Comment,
-    /// An integer literal incremented in place: a body-only edit whose
-    /// points-to constraint stream is unchanged (literals are
-    /// value-erased in the IR), so the solver is reused.
+    /// An integer literal incremented in place: one constant changes
+    /// (literals are value-erased in the points-to constraints).
     IntTweak,
-    /// A fresh local declaration inserted after a block opener: a
-    /// body-only edit that changes the method's statement list.
+    /// A fresh local declaration inserted after a block opener: the
+    /// method's statement list changes.
     StmtInsert,
-    /// A fresh method appended to a class: a structural edit — the
-    /// session rebuilds whatever stages were already built.
+    /// A fresh method appended to a class: the class table changes shape
+    /// and later methods are renumbered.
     MethodAppend,
 }
 
@@ -206,14 +203,6 @@ impl EditScript {
     }
 }
 
-/// Deterministically increments the *first* standalone integer literal of
-/// `text` — the canonical minimal body edit the bench's `incremental` row
-/// times. Returns `None` when the file has no tweakable literal.
-pub fn tweak_first_int(text: &str) -> Option<String> {
-    let anchors = int_anchors(text);
-    apply_int_tweak(text, *anchors.first()?).map(|(out, _, _)| out)
-}
-
 /// `(line, start, end)` byte anchors of every standalone integer literal —
 /// not part of an identifier, not inside a string or comment.
 fn int_anchors(text: &str) -> Vec<(usize, usize, usize)> {
@@ -333,21 +322,6 @@ mod tests {
                 });
                 sources = next;
             }
-        }
-    }
-
-    #[test]
-    fn first_int_tweak_is_deterministic_and_compiles_everywhere() {
-        for b in crate::all_benchmarks() {
-            let (name, text) = b.sources[0];
-            let tweaked = tweak_first_int(text)
-                .unwrap_or_else(|| panic!("{} has an integer literal", b.name));
-            assert_ne!(tweaked, text);
-            assert_eq!(tweak_first_int(text).unwrap(), tweaked, "deterministic");
-            let mut edited: Vec<(&str, &str)> = b.sources.clone();
-            edited[0] = (name, &tweaked);
-            thinslice::AnalysisSession::new(&edited)
-                .unwrap_or_else(|e| panic!("{} tweak broke the build: {e}", b.name));
         }
     }
 

@@ -12,8 +12,8 @@
 //! * Table 3 (tough casts): [`programs::mtrt`], [`programs::jess`],
 //!   [`programs::javac`], [`programs::jack`];
 //! * [`generator`] — parametric programs for the scalability experiments;
-//! * [`edits`] — seeded compile-safe edit scripts for the incremental
-//!   re-analysis equivalence suite.
+//! * [`edits`] — seeded compile-safe edit scripts for the session
+//!   update equivalence suite.
 //!
 //! [`runner`] executes a task with the paper's methodology and produces
 //! table rows.

@@ -462,7 +462,7 @@ pub enum FlightKind {
     SessionEvicted,
     /// A session was quarantined after a panic.
     SessionQuarantined,
-    /// A resident session was incrementally updated to edited sources.
+    /// A reload swapped a program's sources and re-opened its session.
     SessionUpdated,
     /// A query exhausted its step budget or deadline.
     BudgetExhausted,

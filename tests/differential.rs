@@ -9,14 +9,16 @@
 //!
 //! The static side is whatever `AnalysisSession::query` serves: both
 //! engines (context-insensitive reachability and context-sensitive
-//! tabulation), on a freshly built session and on one restored from its
-//! snapshot.
+//! tabulation), on a freshly built session, on one restored from its
+//! snapshot, and on one that reached the program through
+//! `AnalysisSession::update` from an edited version.
 
 use std::collections::BTreeSet;
 use thinslice::{source_hash, AnalysisSession, Engine, Query, RunCtx, SliceKind, StmtSet};
 use thinslice_interp::{dynamic_data_slice, dynamic_thin_slice, run, ExecConfig, Outcome};
 use thinslice_ir::{InstrKind, StmtRef};
 use thinslice_pta::PtaConfig;
+use thinslice_suite::edits::{EditKind, EditScript};
 use thinslice_suite::{generate, GeneratorConfig};
 use thinslice_util::{FxHashMap, SmallRng};
 
@@ -58,8 +60,35 @@ fn static_slices(
     out
 }
 
+/// A session over a version of `sources` with one statement inserted or
+/// one method appended, with every graph built, then updated to `sources`
+/// itself — so the graphs it had built no longer describe its program.
+fn updated_session(sources: &[(&str, &str)]) -> AnalysisSession {
+    let owned: Vec<(String, String)> = sources
+        .iter()
+        .map(|(n, t)| ((*n).to_string(), (*t).to_string()))
+        .collect();
+    let mut script = EditScript::new(7);
+    let edited = loop {
+        let (edited, edit) = script.step(&owned);
+        if matches!(edit.kind, EditKind::StmtInsert | EditKind::MethodAppend) {
+            break edited;
+        }
+    };
+    let edited: Vec<(&str, &str)> = edited
+        .iter()
+        .map(|(n, t)| (n.as_str(), t.as_str()))
+        .collect();
+    let mut s = AnalysisSession::new(&edited).expect("edited sources compile");
+    s.ci_graph();
+    s.cs_graph();
+    s.update(sources).expect("compiles");
+    s
+}
+
 /// Runs one program and checks dynamic ⊆ static for every executed print,
-/// on both engines, for a fresh session and for its snapshot-restored twin.
+/// on both engines, for a fresh session, its snapshot-restored twin, and
+/// a session updated onto the program.
 fn check_program(sources: &[(&str, &str)], config: &ExecConfig) {
     let mut live = AnalysisSession::new(sources).expect("compiles");
     let exec = run(live.program(), config);
@@ -77,6 +106,7 @@ fn check_program(sources: &[(&str, &str)], config: &ExecConfig) {
         AnalysisSession::from_snapshot(&bytes, &key, PtaConfig::default(), RunCtx::disabled())
             .expect("a fresh snapshot restores");
     let warm = static_slices(&mut restored, &seeds);
+    let updated = static_slices(&mut updated_session(sources), &seeds);
 
     for (idx, (event, _)) in exec.prints.iter().enumerate() {
         let seed = exec.events[*event].stmt;
@@ -87,7 +117,11 @@ fn check_program(sources: &[(&str, &str)], config: &ExecConfig) {
         let dyn_data = dynamic_data_slice(&exec, *event);
         // Thin ⊆ data dynamically too.
         assert!(dyn_thin.stmts.is_subset(&dyn_data.stmts));
-        for (session, slices) in [("fresh", &fresh), ("restored", &warm)] {
+        for (session, slices) in [
+            ("fresh", &fresh),
+            ("restored", &warm),
+            ("updated", &updated),
+        ] {
             for (engine, kind) in SLICERS {
                 let dynamic = match kind {
                     SliceKind::Thin => &dyn_thin,

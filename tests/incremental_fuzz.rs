@@ -1,13 +1,13 @@
 //! Fuzz-ish property: *any* seeded edit script, applied round by round
 //! through [`AnalysisSession::update`], leaves the session answering
 //! bit-for-bit like a from-scratch rebuild of the final sources — no
-//! matter how the script interleaves no-op, body-only, and structural
-//! edits, and no matter which stages each round's update chose to keep.
+//! matter how the script interleaves comment, literal, statement and
+//! method edits.
 //!
 //! The per-round cross-product lives in `tests/incremental.rs`; this
 //! suite trades per-round breadth for script *length* and seed diversity,
-//! because invalidation bugs compound: a stale artifact kept in round k
-//! only surfaces in a later round that rebuilds on top of it.
+//! because state leaked across an update compounds: something stale kept
+//! in round k may only surface in a later round.
 
 use thinslice::{AnalysisSession, Engine, Query, SliceKind};
 use thinslice_ir::InstrKind;
