@@ -1524,10 +1524,9 @@ mod tests {
                 "server":{"served":4,"errors":0,"panics":0,"recorded":6,"recorder_capacity":256},
                 "tenants":[{"client":"alpha","requests":4,"errors":0,"retries":0,"degraded":1,
                             "shed":0,"spent_steps":900,"exit_hits":3,"exit_misses":1,
-                            "shared_hits":0,
                             "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
                 "sessions":[{"program":"00deadbeef00cafe","content":"00deadbeef00cafe","live":true,"quarantined":false,
-                             "resident":123,"exit_hits":3,"exit_misses":1,"shared_hits":0,
+                             "resident":123,"exit_hits":3,"exit_misses":1,
                              "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
                 "slow":[{"id":7,"client":"alpha","program":"00deadbeef00cafe","kind":"thin",
                          "engine":"ci","admission":"full","completeness":"complete","seeds":1,

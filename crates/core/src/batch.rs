@@ -3,22 +3,24 @@
 //! The paper's evaluation workload is query-heavy: one dependence graph,
 //! many seeds (every task of Table 2/3 slices the same benchmark). This
 //! module amortises everything that does not depend on the seed —
-//! the CSR graph ([`FrozenSdg`]), per-worker scratch buffers
-//! ([`SliceScratch`]) and the tabulation's down-edge index
-//! ([`DownConsumers`]) — and fans the queries out across a thread pool
-//! over the shared immutable graph.
+//! the CSR graph ([`FrozenSdg`]) with its cached down-edge index, and
+//! per-worker scratch buffers ([`SliceScratch`], [`CsScratch`]) — and fans
+//! the queries out across [`par::map_with`] workers over the shared
+//! immutable graph.
 //!
-//! Results are returned in query order, and each result is identical to
-//! what the sequential single-query path ([`AnalysisSession::query`])
-//! produces, whatever the thread count: workers share only immutable
-//! data, and each query's traversal is fully independent.
+//! Every query, batched or not, is answered by one function, `answer`:
+//! the context-insensitive BFS or the context-sensitive tabulation, then
+//! the CS → CI degradation ladder. [`AnalysisSession::query`] calls it on
+//! the session's scratch; each batch worker calls it on its own. Results
+//! are returned in query order, and each result is identical to what
+//! [`AnalysisSession::query`] produces, whatever the thread count: workers
+//! share only immutable data, and each query's traversal is independent.
 //!
-//! One engine serves both the plain and the governed batch: a
-//! [`BatchConfig`] whose [`RunCtx`] is ungoverned (and that injects no
-//! faults) runs the zero-overhead fast path — no `catch_unwind`, no
-//! meter arming beyond one predictable branch per work item — while a
-//! governed config adds per-query budgets, panic isolation with bounded
-//! retry, and the CS → CI degradation ladder.
+//! A [`BatchConfig`] whose [`RunCtx`] is ungoverned (and that injects no
+//! faults) runs each query directly — no `catch_unwind`, no meter arming
+//! beyond one predictable branch per work item — while a governed config
+//! wraps each query in per-query budgets and panic isolation with bounded
+//! retry.
 //!
 //! # Examples
 //!
@@ -46,27 +48,12 @@
 //! [`AnalysisSession::query`]: crate::AnalysisSession::query
 
 use crate::session::{Engine, SliceResult};
-use crate::slice::{slice_dense, Slice, SliceKind, SliceScratch};
-use crate::tabulation::{
-    cs_oneshot, cs_reusing, CsScratch, CsSlice, DownConsumers, ExitShare, MemoStats,
-};
+use crate::slice::{slice_dense, SliceKind, SliceScratch};
+use crate::tabulation::{cs_reusing, CsScratch, MemoStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use thinslice_sdg::{DenseDisplay, DepGraph, FrozenSdg, NodeId};
-use thinslice_util::{par, Budget, CancelToken, Completeness, FxHashSet, Meter, RunCtx, Telemetry};
-
-/// Minimum batch size at which pre-filtering the edge array by the slice
-/// kind pays for its O(edges) setup scan. Below it, queries run directly
-/// on the shared graph with per-edge kind tests — both paths produce
-/// identical output, this is purely a cost model.
-const FILTER_THRESHOLD: usize = 16;
-
-/// Minimum cs batch size for the dense reusable scratch. Its node-indexed
-/// tables cost O(graph) to set up, repaid by cheaper per-step bookkeeping
-/// and cross-query memoisation — below this, the hash-based one-shot
-/// store (with the shared down-edge index) wins.
-const CS_DENSE_THRESHOLD: usize = 2;
+use thinslice_sdg::{DepGraph, FrozenSdg, NodeId};
+use thinslice_util::{par, Budget, CancelToken, Completeness, FxHashSet, RunCtx, Telemetry};
 
 /// Minimum queries a worker must stand to receive before it is worth
 /// spawning: an OS thread costs tens of microseconds to start, which a
@@ -82,87 +69,80 @@ fn effective_threads(threads: usize, queries: usize) -> usize {
     threads.clamp(1, queries.div_ceil(MIN_QUERIES_PER_WORKER).max(1))
 }
 
-// ---- the plain (ungoverned) fast path ----
+// ---- the one per-query path ----
 
-/// The ungoverned context-insensitive batch: one BFS per query on shared
-/// scratch, with the per-batch prefilter cost model. Telemetry-optional;
-/// a disabled handle leaves the traversal untouched.
-pub(crate) fn ci_plain(
+/// Answers one query over `graph` under `budget`: the dense BFS for
+/// [`Engine::Ci`], the scratch-reusing tabulation for [`Engine::Cs`].
+///
+/// A context-sensitive query that exhausts its budget is, with `degrade`,
+/// re-answered by the context-insensitive slicer over the same graph under
+/// a fresh meter and marked `degraded` — the paper's scalability ladder,
+/// CS → CI → truncated. Without `degrade` the truncated CS prefix is
+/// returned as-is.
+///
+/// `cs` memoises facts of the (graph, kind) pair, so a caller must keep
+/// one per pair. With telemetry enabled, records the per-query memo
+/// deltas, degradations and (for a limited budget) meter checks.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn answer(
     graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    tel: &Telemetry,
-) -> Vec<Slice> {
-    let mut span = tel.span("batch.slices");
-    span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
-    // The traditional-full slicer follows every edge kind, so the graph
-    // is its own filtered view: skip both the copy and the per-edge tests.
-    if matches!(kind, SliceKind::TraditionalFull) {
-        return par::map_with(queries, threads, SliceScratch::new, |scratch, _, seeds| {
-            measured_bfs(tel, graph, seeds, kind, scratch, true)
-        });
-    }
-    if queries.len() < FILTER_THRESHOLD {
-        return par::map_with(queries, threads, SliceScratch::new, |scratch, _, seeds| {
-            measured_bfs(tel, graph, seeds, kind, scratch, false)
-        });
-    }
-    // Filter once per batch: whether a kind follows an edge depends only
-    // on the edge's label, so dropping unfollowed edges up front leaves
-    // every query's traversal — and output — unchanged.
-    let filtered = graph.filtered(|e| kind.follows(&e.kind));
-    par::map_with(queries, threads, SliceScratch::new, |scratch, _, seeds| {
-        measured_bfs(tel, &filtered, seeds, kind, scratch, true)
-    })
-}
-
-/// Runs one BFS query; with telemetry enabled, also records its latency
-/// and traversal size. The traversal itself is untouched either way.
-fn measured_bfs<G: DenseDisplay>(
-    tel: &Telemetry,
-    graph: &G,
     seeds: &[NodeId],
     kind: SliceKind,
-    scratch: &mut SliceScratch,
-    prefiltered: bool,
-) -> Slice {
-    if !tel.is_enabled() {
-        return slice_dense(
-            graph,
-            seeds,
-            kind,
-            scratch,
-            prefiltered,
-            &mut Meter::unlimited(),
-        )
-        .0;
+    engine: Engine,
+    degrade: bool,
+    budget: &Budget,
+    bfs: &mut SliceScratch,
+    cs: &mut CsScratch,
+    tel: &Telemetry,
+) -> SliceResult {
+    let governed = !budget.is_unlimited();
+    let mut meter = budget.meter();
+    let mut checks = 0;
+    let mut degraded = false;
+    if engine == Engine::Cs {
+        let before = tel.is_enabled().then(|| cs.memo_stats());
+        let index = graph.down_consumers();
+        let (slice, completeness) = cs_reusing(graph, index, seeds, kind, cs, &mut meter);
+        if let Some(before) = before {
+            record_memo(tel, cs.memo_stats().since(&before));
+        }
+        if completeness.is_complete() || !degrade {
+            if governed {
+                tel.count("govern.meter_checks", meter.slow_checks());
+            }
+            return SliceResult {
+                engine: Engine::Cs,
+                kind,
+                stmts: slice.stmts,
+                nodes: slice.nodes,
+                completeness,
+                degraded: false,
+            };
+        }
+        checks = meter.slow_checks();
+        meter = budget.meter();
+        degraded = true;
+        tel.count("govern.degraded_queries", 1);
     }
-    let started = Instant::now();
-    let slice = slice_dense(
-        graph,
-        seeds,
+    let (slice, completeness) = slice_dense(graph, seeds, kind, bfs, &mut meter);
+    if governed {
+        tel.count("govern.meter_checks", checks + meter.slow_checks());
+    }
+    SliceResult {
+        engine: Engine::Ci,
         kind,
-        scratch,
-        prefiltered,
-        &mut Meter::unlimited(),
-    )
-    .0;
-    record_traversal(tel, graph, &slice.nodes, started);
-    slice
+        stmts: slice.stmts,
+        nodes: slice.nodes,
+        completeness,
+        degraded,
+    }
 }
 
 /// Post-hoc traversal accounting: the BFS scans every out-edge of every
 /// node it visits, so summing CSR degrees over the visited set reproduces
 /// the edges-visited figure without touching the hot loop.
-fn record_traversal<G: DepGraph>(
-    tel: &Telemetry,
-    graph: &G,
-    nodes: &FxHashSet<NodeId>,
-    started: Instant,
-) {
-    tel.record("batch.query_us", started.elapsed().as_secs_f64() * 1e6);
+fn record_traversal(tel: &Telemetry, graph: &FrozenSdg, nodes: &FxHashSet<NodeId>, took: Duration) {
+    tel.record("batch.query_us", took.as_secs_f64() * 1e6);
     tel.count("slice.nodes_visited", nodes.len() as u64);
     tel.count(
         "slice.csr_edges_visited",
@@ -174,86 +154,13 @@ fn record_traversal<G: DepGraph>(
     );
 }
 
-/// The ungoverned context-sensitive batch: the down-edge index is built
-/// once and shared by all workers, so a batch of N queries scans the
-/// graph's edges once, not N times.
-pub(crate) fn cs_plain(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    tel: &Telemetry,
-) -> Vec<CsSlice> {
-    let mut span = tel.span("batch.cs_slices");
-    span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
-    // Each worker reuses its tabulation state across queries. Unlike the
-    // CI batch, no filtered view is built: the tabulation tests the edge
-    // kind in its own loop regardless, so the view's O(edges) copy bought
-    // nothing the test didn't already provide.
-    if queries.len() < CS_DENSE_THRESHOLD {
-        let index = graph.down_consumers();
-        return par::map_with(
-            queries,
-            threads,
-            || (),
-            |_, _, seeds| {
-                if !tel.is_enabled() {
-                    return cs_oneshot(graph, index, seeds, kind, &mut Meter::unlimited()).0;
-                }
-                let started = Instant::now();
-                let slice = cs_oneshot(graph, index, seeds, kind, &mut Meter::unlimited()).0;
-                record_traversal(tel, graph, &slice.nodes, started);
-                slice
-            },
-        );
-    }
-    // With several workers, each worker's scratch memoises callee-exit
-    // regions privately; a batch-wide share lets the first worker to
-    // complete a region publish it so the others splice instead of
-    // re-tabulating. Single-threaded batches skip the (small) publication
-    // cost: one scratch already sees every region.
-    let share = (threads > 1).then(|| Arc::new(ExitShare::new(graph.node_count())));
-    let new_scratch = || match &share {
-        Some(s) => CsScratch::with_share(Arc::clone(s)),
-        None => CsScratch::new(),
-    };
-    let index = graph.down_consumers();
-    par::map_with(queries, threads, new_scratch, |scratch, _, seeds| {
-        measured_cs(tel, graph, index, seeds, kind, scratch)
-    })
-}
-
-/// Runs one tabulation query on reusable scratch; with telemetry enabled,
-/// also records latency, traversal size and the per-query memo deltas.
-fn measured_cs<G: DepGraph>(
-    tel: &Telemetry,
-    graph: &G,
-    index: &DownConsumers,
-    seeds: &[NodeId],
-    kind: SliceKind,
-    scratch: &mut CsScratch,
-) -> CsSlice {
-    if !tel.is_enabled() {
-        return cs_reusing(graph, index, seeds, kind, scratch, &mut Meter::unlimited()).0;
-    }
-    let started = Instant::now();
-    let before = scratch.memo_stats();
-    let slice = cs_reusing(graph, index, seeds, kind, scratch, &mut Meter::unlimited()).0;
-    record_memo(tel, scratch.memo_stats().since(&before));
-    record_traversal(tel, graph, &slice.nodes, started);
-    slice
-}
-
 fn record_memo(tel: &Telemetry, delta: MemoStats) {
     tel.count("cs.exit_memo_hits", delta.exit_hits);
     tel.count("cs.exit_memo_misses", delta.exit_misses);
     tel.count("cs.summary_edges", delta.summary_edges);
-    tel.count("cs.shared_memo_hits", delta.shared_hits);
-    tel.count("cs.shared_memo_published", delta.shared_published);
 }
 
-// ---- governed batches: budgets, panic isolation, graceful degradation ----
+// ---- batch configuration, panic isolation and governance reporting ----
 
 /// Deterministic fault injection for robustness tests: query `query`
 /// panics on its first `attempts` attempts (so `attempts <= retries`
@@ -448,9 +355,6 @@ fn record_governed(tel: &Telemetry, stage: &str, out: &QueryOutcome) {
         }
         Ok(s) => {
             tel.count("slice.nodes_visited", s.nodes.len() as u64);
-            if s.degraded {
-                tel.count("govern.degraded_queries", 1);
-            }
             if let Completeness::Truncated { reason, frontier } = &s.completeness {
                 tel.count("govern.budget_exhaustions", 1);
                 tel.event(
@@ -466,125 +370,9 @@ fn record_governed(tel: &Telemetry, stage: &str, out: &QueryOutcome) {
     }
 }
 
-/// The guarded context-insensitive batch: per-query budgets, panic
-/// isolation with bounded retry, and per-query latency/retry reporting.
-///
-/// Traversal per query is identical to the ungoverned engine's; a query
-/// that exhausts its budget returns its truncated prefix labelled
-/// `Truncated` instead of blocking the batch.
-pub(crate) fn ci_guarded(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    cfg: &BatchConfig,
-) -> Vec<QueryOutcome> {
-    let (budget, cancel) = armed_budget(cfg);
-    let tel = cfg.ctx.telemetry();
-    let mut span = tel.span("batch.governed_slices");
-    span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
-    // The traditional-full slicer follows every edge, so the shared graph
-    // is its own filtered view (as in the plain batch).
-    let prefiltered = matches!(kind, SliceKind::TraditionalFull);
-    par::map_with(queries, threads, SliceScratch::new, |scratch, i, seeds| {
-        let out = run_guarded(i, cfg, &cancel, scratch, SliceScratch::new, |s| {
-            let mut meter = budget.meter();
-            let (slice, completeness) = slice_dense(graph, seeds, kind, s, prefiltered, &mut meter);
-            tel.count("govern.meter_checks", meter.slow_checks());
-            SliceResult {
-                engine: Engine::Ci,
-                kind,
-                stmts: slice.stmts,
-                nodes: slice.nodes,
-                completeness,
-                degraded: false,
-            }
-        });
-        record_governed(tel, "slice", &out);
-        out
-    })
-}
-
-/// The guarded context-sensitive batch, with graceful degradation: a
-/// query whose tabulation exhausts its budget is re-answered by the
-/// context-insensitive reachability slicer over the same frozen graph
-/// (fresh meter) and marked `degraded` — the paper's scalability ladder,
-/// CS → CI → truncated. `cfg.degrade = false` keeps the truncated CS
-/// prefix instead.
-pub(crate) fn cs_guarded(
-    graph: &FrozenSdg,
-    queries: &[Vec<NodeId>],
-    kind: SliceKind,
-    threads: usize,
-    cfg: &BatchConfig,
-) -> Vec<QueryOutcome> {
-    let (budget, cancel) = armed_budget(cfg);
-    let tel = cfg.ctx.telemetry();
-    let mut span = tel.span("batch.governed_cs_slices");
-    span.add("batch.queries", queries.len() as u64);
-    let threads = effective_threads(threads, queries.len());
-    let index = graph.down_consumers();
-    // Guarded batches share exit regions the same way the plain CS batch
-    // does; a panicked worker's replacement scratch re-attaches to the
-    // batch share (only *complete* queries publish, so a scratch discarded
-    // mid-query has published nothing unsound).
-    let share = (threads > 1).then(|| Arc::new(ExitShare::new(graph.node_count())));
-    let fresh = || {
-        let cs = match &share {
-            Some(s) => CsScratch::with_share(Arc::clone(s)),
-            None => CsScratch::new(),
-        };
-        (cs, SliceScratch::new())
-    };
-    par::map_with(queries, threads, fresh, |scratch, i, seeds| {
-        let out = run_guarded(i, cfg, &cancel, scratch, fresh, |(cs, bfs)| {
-            let mut meter = budget.meter();
-            let memo_before = if tel.is_enabled() {
-                Some(cs.memo_stats())
-            } else {
-                None
-            };
-            let (slice, completeness) = cs_reusing(graph, index, seeds, kind, cs, &mut meter);
-            if let Some(before) = memo_before {
-                record_memo(tel, cs.memo_stats().since(&before));
-            }
-            if completeness.is_complete() || !cfg.degrade {
-                tel.count("govern.meter_checks", meter.slow_checks());
-                return SliceResult {
-                    engine: Engine::Cs,
-                    kind,
-                    stmts: slice.stmts,
-                    nodes: slice.nodes,
-                    completeness,
-                    degraded: false,
-                };
-            }
-            // Degradation ladder: answer with the cheaper CI slicer over
-            // the same graph, under a fresh meter from the same budget.
-            let mut ci_meter = budget.meter();
-            let (ci, ci_completeness) = slice_dense(graph, seeds, kind, bfs, false, &mut ci_meter);
-            tel.count(
-                "govern.meter_checks",
-                meter.slow_checks() + ci_meter.slow_checks(),
-            );
-            SliceResult {
-                engine: Engine::Ci,
-                kind,
-                stmts: ci.stmts,
-                nodes: ci.nodes,
-                completeness: ci_completeness,
-                degraded: true,
-            }
-        });
-        record_governed(tel, "cs_slice", &out);
-        out
-    })
-}
-
-/// The one batch entrypoint: dispatches on the engine and on whether the
-/// config needs the guarded path, and wraps fast-path results in
-/// [`QueryOutcome`]s so callers see one shape.
+/// The one batch entrypoint: answers every query through [`answer`] on
+/// per-worker scratch, inside [`run_guarded`] when the config needs
+/// isolation.
 pub(crate) fn run_batch(
     graph: &FrozenSdg,
     queries: &[Vec<NodeId>],
@@ -593,40 +381,61 @@ pub(crate) fn run_batch(
     threads: usize,
     cfg: &BatchConfig,
 ) -> Vec<QueryOutcome> {
-    if cfg.needs_guarded() {
-        return match engine {
-            Engine::Ci => ci_guarded(graph, queries, kind, threads, cfg),
-            Engine::Cs => cs_guarded(graph, queries, kind, threads, cfg),
-        };
-    }
     let tel = cfg.ctx.telemetry();
-    let complete = |engine: Engine, stmts, nodes| QueryOutcome {
-        slice: Ok(SliceResult {
-            engine,
-            kind,
-            stmts,
-            nodes,
-            completeness: Completeness::Complete,
-            degraded: false,
-        }),
-        latency: Duration::ZERO,
-        retries: 0,
+    let guarded = cfg.needs_guarded();
+    let (budget, cancel) = if guarded {
+        armed_budget(cfg)
+    } else {
+        (cfg.ctx.budget().clone(), CancelToken::default())
     };
-    match engine {
-        Engine::Ci => ci_plain(graph, queries, kind, threads, tel)
-            .into_iter()
-            .map(|s| complete(Engine::Ci, s.stmts, s.nodes))
-            .collect(),
-        Engine::Cs => cs_plain(graph, queries, kind, threads, tel)
-            .into_iter()
-            .map(|s| complete(Engine::Cs, s.stmts, s.nodes))
-            .collect(),
-    }
+    let (span_name, stage) = match (guarded, engine) {
+        (false, Engine::Ci) => ("batch.slices", "slice"),
+        (false, Engine::Cs) => ("batch.cs_slices", "cs_slice"),
+        (true, Engine::Ci) => ("batch.governed_slices", "slice"),
+        (true, Engine::Cs) => ("batch.governed_cs_slices", "cs_slice"),
+    };
+    let mut span = tel.span(span_name);
+    span.add("batch.queries", queries.len() as u64);
+    let threads = effective_threads(threads, queries.len());
+    let fresh = || (SliceScratch::new(), CsScratch::new());
+    par::map_with(queries, threads, fresh, |scratch, i, seeds| {
+        let attempt = |(bfs, cs): &mut (SliceScratch, CsScratch)| {
+            answer(
+                graph,
+                seeds,
+                kind,
+                engine,
+                cfg.degrade,
+                &budget,
+                bfs,
+                cs,
+                tel,
+            )
+        };
+        if guarded {
+            let out = run_guarded(i, cfg, &cancel, scratch, fresh, attempt);
+            record_governed(tel, stage, &out);
+            return out;
+        }
+        let started = tel.is_enabled().then(Instant::now);
+        let slice = attempt(scratch);
+        let latency = started.map_or(Duration::ZERO, |t| t.elapsed());
+        if started.is_some() {
+            record_traversal(tel, graph, &slice.nodes, latency);
+        }
+        QueryOutcome {
+            slice: Ok(slice),
+            latency,
+            retries: 0,
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slice::Slice;
+    use crate::tabulation::CsSlice;
     use crate::{cs_slice, slice_from};
     use thinslice_ir::{compile, InstrKind};
     use thinslice_pta::{Pta, PtaConfig};
@@ -666,6 +475,20 @@ mod tests {
         (sdg, csr, queries)
     }
 
+    /// An ungoverned batch's slices, unwrapped.
+    fn plain(
+        csr: &FrozenSdg,
+        queries: &[Vec<NodeId>],
+        kind: SliceKind,
+        engine: Engine,
+        threads: usize,
+    ) -> Vec<SliceResult> {
+        run_batch(csr, queries, kind, engine, threads, &BatchConfig::default())
+            .into_iter()
+            .map(|o| o.slice.expect("no faults injected"))
+            .collect()
+    }
+
     #[test]
     fn batch_matches_sequential_for_every_kind_and_thread_count() {
         let (sdg, csr, queries) = setup();
@@ -678,7 +501,7 @@ mod tests {
             let sequential: Vec<Slice> =
                 queries.iter().map(|q| slice_from(&sdg, q, kind)).collect();
             for threads in [1, 2, 4, 8] {
-                let batched = ci_plain(&csr, &queries, kind, threads, &Telemetry::disabled());
+                let batched = plain(&csr, &queries, kind, Engine::Ci, threads);
                 assert_eq!(batched.len(), sequential.len());
                 for (b, s) in batched.iter().zip(&sequential) {
                     assert_eq!(b.stmts, s.stmts, "{kind:?}/{threads}");
@@ -696,13 +519,7 @@ mod tests {
             .map(|q| cs_slice(&sdg, q, SliceKind::Thin))
             .collect();
         for threads in [1, 2, 4, 8] {
-            let batched = cs_plain(
-                &csr,
-                &queries,
-                SliceKind::Thin,
-                threads,
-                &Telemetry::disabled(),
-            );
+            let batched = plain(&csr, &queries, SliceKind::Thin, Engine::Cs, threads);
             for (b, s) in batched.iter().zip(&sequential) {
                 assert_eq!(b.stmts, s.stmts, "threads={threads}");
                 assert_eq!(b.nodes, s.nodes);
@@ -716,13 +533,7 @@ mod tests {
         // a dirtied scratch and must still match.
         let (_, csr, q) = setup();
         let twice: Vec<Vec<NodeId>> = vec![q[0].clone(), q[1].clone(), q[0].clone()];
-        let out = ci_plain(
-            &csr,
-            &twice,
-            SliceKind::TraditionalFull,
-            1,
-            &Telemetry::disabled(),
-        );
+        let out = plain(&csr, &twice, SliceKind::TraditionalFull, Engine::Ci, 1);
         assert_eq!(out[0].stmts, out[2].stmts);
         assert_eq!(out[0].nodes, out[2].nodes);
     }
@@ -740,40 +551,8 @@ mod tests {
             SliceKind::TraditionalData,
             SliceKind::TraditionalFull,
         ] {
-            let batched = cs_plain(&csr, &tiled, kind, 1, &Telemetry::disabled());
+            let batched = plain(&csr, &tiled, kind, Engine::Cs, 1);
             for (b, seeds) in batched.iter().zip(&tiled) {
-                let s = cs_slice(&sdg, seeds, kind);
-                assert_eq!(b.stmts, s.stmts, "{kind:?}");
-                assert_eq!(b.nodes, s.nodes);
-            }
-        }
-    }
-
-    #[test]
-    fn large_batches_take_the_filtered_path_and_still_match() {
-        // Tile the queries past the CI filter threshold so the prefiltered
-        // BFS actually runs (the CS batch never filters).
-        let (sdg, csr, q) = setup();
-        let tiled: Vec<Vec<NodeId>> = q
-            .iter()
-            .cycle()
-            .take(FILTER_THRESHOLD + 1)
-            .cloned()
-            .collect();
-        assert!(tiled.len() > FILTER_THRESHOLD);
-        for kind in [
-            SliceKind::Thin,
-            SliceKind::TraditionalData,
-            SliceKind::TraditionalFull,
-        ] {
-            let batched = ci_plain(&csr, &tiled, kind, 2, &Telemetry::disabled());
-            for (b, seeds) in batched.iter().zip(&tiled) {
-                let s = slice_from(&sdg, seeds, kind);
-                assert_eq!(b.stmts, s.stmts, "{kind:?}");
-                assert_eq!(b.nodes, s.nodes);
-            }
-            let cs_batched = cs_plain(&csr, &tiled, kind, 2, &Telemetry::disabled());
-            for (b, seeds) in cs_batched.iter().zip(&tiled) {
                 let s = cs_slice(&sdg, seeds, kind);
                 assert_eq!(b.stmts, s.stmts, "{kind:?}");
                 assert_eq!(b.nodes, s.nodes);
@@ -785,14 +564,8 @@ mod tests {
     fn empty_batch_and_empty_query() {
         let (_, csr, _) = setup();
         let none: &[Vec<NodeId>] = &[];
-        assert!(ci_plain(&csr, none, SliceKind::Thin, 4, &Telemetry::disabled()).is_empty());
-        let out = ci_plain(
-            &csr,
-            &[Vec::new()],
-            SliceKind::Thin,
-            1,
-            &Telemetry::disabled(),
-        );
+        assert!(plain(&csr, none, SliceKind::Thin, Engine::Ci, 4).is_empty());
+        let out = plain(&csr, &[Vec::new()], SliceKind::Thin, Engine::Ci, 1);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_empty());
     }

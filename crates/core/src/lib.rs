@@ -27,8 +27,8 @@
 //! Two deliberately simple slicers sit beside it as the **reference
 //! pair** the query path is pinned against in tests: [`slice_from`]
 //! (one-shot BFS over any [`thinslice_sdg::DepGraph`]) and [`cs_slice`]
-//! (hash-store tabulation). They share no scratch, memo or prefilter
-//! with the served path.
+//! (hash-store tabulation). They share no scratch or memo with the
+//! served path.
 //!
 //! # Examples
 //!

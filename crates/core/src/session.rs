@@ -37,11 +37,11 @@
 //! # Ok::<(), thinslice_ir::CompileError>(())
 //! ```
 
-use crate::batch::{run_batch, BatchConfig, FaultInjection, QueryOutcome};
-use crate::slice::{slice_dense, SliceKind, SliceScratch};
+use crate::batch::{answer, run_batch, BatchConfig, FaultInjection, QueryOutcome};
+use crate::slice::{SliceKind, SliceScratch};
 use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::stmtset::StmtSet;
-use crate::tabulation::{cs_reusing, CsScratch, DownConsumers, MemoStats};
+use crate::tabulation::{CsScratch, MemoStats};
 use crate::BuildReport;
 use thinslice_ir::{compile_ctx, CompileError, Program, StmtRef};
 use thinslice_pta::{ModRef, Pta, PtaConfig};
@@ -225,7 +225,6 @@ pub struct AnalysisSession {
     /// [`AnalysisSession::ci_snap`](#structfield.ci_snap)).
     cs_snap: Option<Vec<u8>>,
     cs_csr: Option<FrozenSdg>,
-    cs_index: Option<DownConsumers>,
     scratch: SliceScratch,
     cs_scratch: [CsScratch; KINDS],
     /// Per-method def-site/control-dependence artifacts (SDG build input),
@@ -274,7 +273,6 @@ impl AnalysisSession {
             cs: None,
             cs_snap: None,
             cs_csr: None,
-            cs_index: None,
             scratch: SliceScratch::new(),
             cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
             sdg_cache: SdgCache::new(),
@@ -348,8 +346,6 @@ impl AnalysisSession {
             total.exit_hits += s.exit_hits;
             total.exit_misses += s.exit_misses;
             total.summary_edges += s.summary_edges;
-            total.shared_hits += s.shared_hits;
-            total.shared_published += s.shared_published;
         }
         total
     }
@@ -452,14 +448,6 @@ impl AnalysisSession {
         }
     }
 
-    fn ensure_cs_index(&mut self) {
-        if self.cs_index.is_none() {
-            self.ensure_cs_csr();
-            let csr = self.cs_csr.as_ref().expect("cs csr ensured");
-            self.cs_index = Some(DownConsumers::build(csr));
-        }
-    }
-
     /// Points-to and call-graph results (built on first use).
     pub fn pta(&mut self) -> &Pta {
         self.ensure_pta();
@@ -546,93 +534,34 @@ impl AnalysisSession {
     /// use; scratch and (for CS) the per-kind tabulation memo are reused
     /// across queries, so a warm session answers repeated queries without
     /// re-deriving anything — and, by the cache invariants, identically
-    /// to a cold one.
+    /// to a cold one. Batch workers answer through the same per-query
+    /// function on their own scratch.
     pub fn query(&mut self, q: &Query) -> SliceResult {
         let budget = self.effective_budget(&q.policy);
-        let governed = !budget.is_unlimited();
         let tel = self.ctx.telemetry().clone();
         let mut span = tel.span("session.query");
-        let result = match q.engine {
+        let graph = match q.engine {
             Engine::Ci => {
                 self.ensure_ci_csr();
-                let graph = self.ci_csr.as_ref().expect("ci csr ensured");
-                let seeds = resolve_seeds(graph, &q.seeds);
-                let prefiltered = matches!(q.kind, SliceKind::TraditionalFull);
-                let mut meter = budget.meter();
-                let (slice, completeness) = slice_dense(
-                    graph,
-                    &seeds,
-                    q.kind,
-                    &mut self.scratch,
-                    prefiltered,
-                    &mut meter,
-                );
-                if governed {
-                    tel.count("govern.meter_checks", meter.slow_checks());
-                }
-                SliceResult {
-                    engine: Engine::Ci,
-                    kind: q.kind,
-                    stmts: slice.stmts,
-                    nodes: slice.nodes,
-                    completeness,
-                    degraded: false,
-                }
+                self.ci_csr.as_ref().expect("ci csr ensured")
             }
             Engine::Cs => {
-                self.ensure_cs_index();
-                let graph = self.cs_csr.as_ref().expect("cs csr ensured");
-                let index = self.cs_index.as_ref().expect("cs index ensured");
-                let seeds = resolve_seeds(graph, &q.seeds);
-                let mut meter = budget.meter();
-                let (slice, completeness) = cs_reusing(
-                    graph,
-                    index,
-                    &seeds,
-                    q.kind,
-                    &mut self.cs_scratch[kind_slot(q.kind)],
-                    &mut meter,
-                );
-                if completeness.is_complete() || !q.policy.degrade {
-                    if governed {
-                        tel.count("govern.meter_checks", meter.slow_checks());
-                    }
-                    SliceResult {
-                        engine: Engine::Cs,
-                        kind: q.kind,
-                        stmts: slice.stmts,
-                        nodes: slice.nodes,
-                        completeness,
-                        degraded: false,
-                    }
-                } else {
-                    // Scalability ladder: re-answer with the CI engine
-                    // over the same graph, under a fresh meter.
-                    let mut ci_meter = budget.meter();
-                    let (ci, ci_completeness) = slice_dense(
-                        graph,
-                        &seeds,
-                        q.kind,
-                        &mut self.scratch,
-                        false,
-                        &mut ci_meter,
-                    );
-                    tel.count(
-                        "govern.meter_checks",
-                        meter.slow_checks() + ci_meter.slow_checks(),
-                    );
-                    tel.count("govern.degraded_queries", 1);
-                    SliceResult {
-                        engine: Engine::Ci,
-                        kind: q.kind,
-                        stmts: ci.stmts,
-                        nodes: ci.nodes,
-                        completeness: ci_completeness,
-                        degraded: true,
-                    }
-                }
+                self.ensure_cs_csr();
+                self.cs_csr.as_ref().expect("cs csr ensured")
             }
         };
+        let seeds = resolve_seeds(graph, &q.seeds);
+        let result = answer(
+            graph,
+            &seeds,
+            q.kind,
+            q.engine,
+            q.policy.degrade,
+            &budget,
+            &mut self.scratch,
+            &mut self.cs_scratch[kind_slot(q.kind)],
+            &tel,
+        );
         span.add("slice.stmts", result.stmts.len() as u64);
         result
     }
@@ -770,11 +699,6 @@ impl AnalysisSession {
             thinslice_sdg::snap::encode_frozen(csr, &mut w);
             snap.section("cs_csr", w.into_bytes());
         }
-        if let Some(idx) = &self.cs_index {
-            let mut w = ByteWriter::new();
-            thinslice_sdg::snap::encode_down(idx, &mut w);
-            snap.section("cs_index", w.into_bytes());
-        }
         Some(snap.finish())
     }
 
@@ -837,15 +761,10 @@ impl AnalysisSession {
             Some(b) => Some(decode_section(b, thinslice_sdg::snap::decode_frozen)?),
             None => None,
         };
-        let cs_index = match snap.section("cs_index") {
-            Some(b) => Some(decode_section(b, thinslice_sdg::snap::decode_down)?),
-            None => None,
-        };
         // Stage-dependency invariants: each artifact implies its input.
         let ok = (pta.is_some() || (ci_snap.is_none() && cs_snap.is_none()))
             && (ci_snap.is_some() || ci_csr.is_none())
-            && (cs_snap.is_some() || cs_csr.is_none())
-            && (cs_csr.is_some() || cs_index.is_none());
+            && (cs_snap.is_some() || cs_csr.is_none());
         if !ok {
             return None;
         }
@@ -860,7 +779,6 @@ impl AnalysisSession {
             cs: None,
             cs_snap,
             cs_csr,
-            cs_index,
             scratch: SliceScratch::new(),
             cs_scratch: [CsScratch::new(), CsScratch::new(), CsScratch::new()],
             sdg_cache: SdgCache::new(),
@@ -1069,7 +987,6 @@ mod tests {
         .expect("clean snapshot restores");
         assert!(restored.pta.is_some());
         assert!(restored.ci_csr.is_some() && restored.cs_csr.is_some());
-        assert!(restored.cs_index.is_some());
         // The growable graphs are adopted as pending bytes; queries go
         // through the frozen graphs and never force them.
         assert!(restored.ci.is_none() && restored.ci_snap.is_some());
@@ -1100,7 +1017,7 @@ mod tests {
                 .unwrap();
         assert!(restored.pta.is_some() && restored.ci_csr.is_some());
         assert!(
-            restored.cs.is_none() && restored.cs_csr.is_none() && restored.cs_index.is_none(),
+            restored.cs.is_none() && restored.cs_csr.is_none(),
             "a stage never built must not materialise through a snapshot"
         );
     }

@@ -8,7 +8,7 @@
 
 use crate::stmtset::StmtSet;
 use thinslice_ir::StmtRef;
-use thinslice_sdg::{DenseDisplay, DepGraph, NodeId, NO_DISPLAY};
+use thinslice_sdg::{DepGraph, FrozenSdg, NodeId, NO_DISPLAY};
 use thinslice_util::{BitSet, Completeness, FxHashSet, Meter};
 
 /// Which dependence relation a slice follows.
@@ -202,11 +202,9 @@ pub(crate) fn slice_sparse<G: DepGraph>(
 }
 
 /// [`slice_sparse`] over a frozen graph, using its dense statement
-/// numbering ([`DenseDisplay`]) so the per-node statement dedup is a bit
-/// test instead of a hash — the batched engine's per-worker inner loop.
-/// With `prefiltered` the graph's edges are already exactly the ones
-/// `kind` follows (see `FrozenSdg::filtered`) and the inner loop skips the
-/// per-edge kind test.
+/// numbering ([`FrozenSdg::display_dense`]) so the per-node statement dedup
+/// is a bit test instead of a hash — the inner loop of every
+/// context-insensitive query.
 ///
 /// Wide levels (more than one frontier node per [`WIDE_LEVEL_DIVISOR`]
 /// graph nodes) switch discovery to word-parallel bitset algebra: targets
@@ -215,12 +213,11 @@ pub(crate) fn slice_sparse<G: DepGraph>(
 /// membership — and therefore the canonical (level, external id) order and
 /// the slice — matches [`slice_sparse`] exactly; only the bookkeeping
 /// differs.
-pub(crate) fn slice_dense<G: DenseDisplay>(
-    sdg: &G,
+pub(crate) fn slice_dense(
+    sdg: &FrozenSdg,
     seeds: &[NodeId],
     kind: SliceKind,
     scratch: &mut SliceScratch,
-    prefiltered: bool,
     meter: &mut Meter,
 ) -> (Slice, Completeness) {
     let SliceScratch {
@@ -268,7 +265,7 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
             // Word mode: unconditional discovery, then level-wide algebra.
             for &n in cur.iter() {
                 for e in sdg.deps(n) {
-                    if prefiltered || kind.follows(&e.kind) {
+                    if kind.follows(&e.kind) {
                         next_bits.insert(e.target);
                     }
                 }
@@ -279,7 +276,7 @@ pub(crate) fn slice_dense<G: DenseDisplay>(
         } else {
             for &n in cur.iter() {
                 for e in sdg.deps(n) {
-                    if (prefiltered || kind.follows(&e.kind)) && visited.insert(e.target) {
+                    if kind.follows(&e.kind) && visited.insert(e.target) {
                         next.push(e.target);
                     }
                 }
@@ -488,7 +485,6 @@ mod tests {
                 &[seed],
                 kind,
                 &mut SliceScratch::new(),
-                false,
                 &mut Meter::unlimited(),
             )
             .0;

@@ -3,9 +3,12 @@
 //! [`Sdg`] is built incrementally: each node owns a `Vec<Edge>`, so a BFS
 //! hops between heap allocations. Once construction is done the graph is
 //! immutable for the whole query phase, which makes the classic CSR layout
-//! pay off: one contiguous edge array plus an offset array per node. All
-//! slicers traverse the graph through the [`DepGraph`] trait, so they run
-//! unchanged over either representation.
+//! pay off: one contiguous edge array plus an offset array per node. The
+//! reference slicers traverse the graph through the [`DepGraph`] trait, so
+//! they run unchanged over either representation; the served query path
+//! runs on the frozen form only, which adds a dense display-statement
+//! numbering ([`FrozenSdg::display_dense`]) and a cached down-edge index
+//! ([`FrozenSdg::down_consumers`]).
 //!
 //! [`Sdg::freeze`] additionally renumbers the nodes into BFS (wavefront)
 //! order over the dependence edges: nodes a backward slice visits together
@@ -145,27 +148,6 @@ pub struct FrozenSdg {
 /// Sentinel dense id for nodes without a display statement.
 pub const NO_DISPLAY: u32 = u32::MAX;
 
-/// Dense numbering of display statements, for hash-free statement dedup.
-///
-/// A slice's statement set is the set of display statements of its visited
-/// nodes. Deduplicating those through a hash set is the hottest per-node
-/// operation of a big BFS; the frozen graph instead numbers the distinct
-/// display statements densely at freeze time, so a traversal can dedup
-/// with a bit set over `0..dense_stmt_count()`. Guaranteed consistent with
-/// [`DepGraph::display_stmt`]: `display_dense(n)` is [`NO_DISPLAY`] exactly
-/// when `display_stmt(n)` is `None`, and `dense_stmt(display_dense(n))`
-/// equals `display_stmt(n).unwrap()` otherwise.
-pub trait DenseDisplay: DepGraph {
-    /// The dense id of `n`'s display statement, or [`NO_DISPLAY`].
-    fn display_dense(&self, n: NodeId) -> u32;
-
-    /// The statement with dense id `i`.
-    fn dense_stmt(&self, i: u32) -> StmtRef;
-
-    /// Number of distinct display statements.
-    fn dense_stmt_count(&self) -> usize;
-}
-
 impl FrozenSdg {
     /// Total edge count.
     pub fn edge_count(&self) -> usize {
@@ -183,28 +165,31 @@ impl FrozenSdg {
         self.down.get_or_init(|| DownConsumers::build(self))
     }
 
-    /// A view of the graph keeping only the edges `keep` accepts, per-node
-    /// order preserved. The batched engine filters once per batch by the
-    /// slice kind's edge predicate, so every query's BFS traverses a
-    /// smaller edge array with no per-edge kind test — traversal order
-    /// over the kept edges is unchanged. Only the edge arrays are rebuilt;
-    /// node metadata is borrowed from `self`, so the filter costs one scan
-    /// of the edge array.
-    pub fn filtered(&self, mut keep: impl FnMut(&Edge) -> bool) -> FilteredCsr<'_> {
-        let n = self.kinds.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut edges = Vec::with_capacity(self.edges.len());
-        offsets.push(0);
-        for i in 0..n {
-            let row = &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize];
-            edges.extend(row.iter().filter(|e| keep(e)).copied());
-            offsets.push(u32::try_from(edges.len()).expect("edge count exceeds u32"));
-        }
-        FilteredCsr {
-            base: self,
-            offsets,
-            edges,
-        }
+    /// The dense id of `n`'s display statement, or [`NO_DISPLAY`].
+    ///
+    /// A slice's statement set is the set of display statements of its
+    /// visited nodes. Deduplicating those through a hash set is the hottest
+    /// per-node operation of a big BFS; freezing instead numbers the
+    /// distinct display statements densely, so a traversal can dedup with a
+    /// bit set over `0..dense_stmt_count()`. Consistent with
+    /// [`DepGraph::display_stmt`]: `display_dense(n)` is [`NO_DISPLAY`]
+    /// exactly when `display_stmt(n)` is `None`, and
+    /// `dense_stmt(display_dense(n))` equals `display_stmt(n).unwrap()`
+    /// otherwise.
+    #[inline]
+    pub fn display_dense(&self, n: NodeId) -> u32 {
+        self.display_idx[n.index()]
+    }
+
+    /// The statement with dense id `i` (see [`FrozenSdg::display_dense`]).
+    #[inline]
+    pub fn dense_stmt(&self, i: u32) -> StmtRef {
+        self.display_stmts[i as usize]
+    }
+
+    /// Number of distinct display statements.
+    pub fn dense_stmt_count(&self) -> usize {
+        self.display_stmts.len()
     }
 }
 
@@ -262,85 +247,6 @@ impl DownConsumers {
     pub fn get(&self, site: NodeId, exit: NodeId) -> Option<&[NodeId]> {
         let i = self.keys.binary_search(&(site, exit)).ok()?;
         Some(&self.consumers[self.offsets[i] as usize..self.offsets[i + 1] as usize])
-    }
-}
-
-/// An edge-filtered view over a [`FrozenSdg`]: its own CSR edge arrays,
-/// node metadata borrowed from the base graph. See [`FrozenSdg::filtered`].
-#[derive(Debug, Clone)]
-pub struct FilteredCsr<'g> {
-    base: &'g FrozenSdg,
-    offsets: Vec<u32>,
-    edges: Vec<Edge>,
-}
-
-impl FilteredCsr<'_> {
-    /// Edges kept by the filter.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-impl DepGraph for FilteredCsr<'_> {
-    fn node_count(&self) -> usize {
-        self.base.node_count()
-    }
-
-    fn deps(&self, n: NodeId) -> &[Edge] {
-        let i = n.index();
-        &self.edges[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    fn node(&self, n: NodeId) -> NodeKind {
-        self.base.node(n)
-    }
-
-    fn display_stmt(&self, n: NodeId) -> Option<StmtRef> {
-        self.base.display_stmt(n)
-    }
-
-    fn stmt_nodes_of(&self, s: StmtRef) -> &[NodeId] {
-        self.base.stmt_nodes_of(s)
-    }
-
-    fn mode(&self) -> HeapMode {
-        self.base.mode()
-    }
-
-    fn to_internal(&self, n: NodeId) -> NodeId {
-        self.base.to_internal(n)
-    }
-
-    fn to_external(&self, n: NodeId) -> NodeId {
-        self.base.to_external(n)
-    }
-}
-
-impl DenseDisplay for FrozenSdg {
-    fn display_dense(&self, n: NodeId) -> u32 {
-        self.display_idx[n.index()]
-    }
-
-    fn dense_stmt(&self, i: u32) -> StmtRef {
-        self.display_stmts[i as usize]
-    }
-
-    fn dense_stmt_count(&self) -> usize {
-        self.display_stmts.len()
-    }
-}
-
-impl DenseDisplay for FilteredCsr<'_> {
-    fn display_dense(&self, n: NodeId) -> u32 {
-        self.base.display_dense(n)
-    }
-
-    fn dense_stmt(&self, i: u32) -> StmtRef {
-        self.base.dense_stmt(i)
-    }
-
-    fn dense_stmt_count(&self) -> usize {
-        self.base.dense_stmt_count()
     }
 }
 
@@ -663,13 +569,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), f.dense_stmt_count());
-        // The filtered view shares the numbering (and the permutation).
-        let v = f.filtered(|_| true);
-        for (id, _) in g.nodes() {
-            let fid = v.to_internal(id);
-            assert_eq!(fid, f.to_internal(id));
-            assert_eq!(v.display_dense(fid), f.display_dense(fid));
-        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod stats;
 
 pub use builder::{build_ci, build_ci_cached, build_ci_ctx};
 pub use cache::SdgCache;
-pub use csr::{DenseDisplay, DepGraph, DownConsumers, FilteredCsr, FrozenSdg, NO_DISPLAY};
+pub use csr::{DepGraph, DownConsumers, FrozenSdg, NO_DISPLAY};
 pub use heap_params::{build_cs, build_cs_cached, build_cs_ctx};
 pub use node::{Edge, EdgeKind, NodeId, NodeKind};
 pub use stats::SdgStats;

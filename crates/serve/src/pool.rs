@@ -597,7 +597,6 @@ impl SessionPool {
                     resident: e.resident,
                     exit_hits: memo.exit_hits,
                     exit_misses: memo.exit_misses,
-                    shared_hits: memo.shared_hits,
                     latency_us: Default::default(),
                 }
             })

@@ -718,8 +718,6 @@ pub struct TenantRow {
     pub exit_hits: u64,
     /// Exit-region memo misses this client's queries observed.
     pub exit_misses: u64,
-    /// Cross-worker exit-share hits this client's queries observed.
-    pub shared_hits: u64,
     /// Wall-clock latency quantiles in microseconds.
     pub latency_us: HistogramSummary,
 }
@@ -743,8 +741,6 @@ pub struct SessionRow {
     pub exit_hits: u64,
     /// Exit-region memo misses accumulated by the live session.
     pub exit_misses: u64,
-    /// Cross-worker exit-share hits accumulated by the live session.
-    pub shared_hits: u64,
     /// Wall-clock latency quantiles of queries on this program, in
     /// microseconds.
     pub latency_us: HistogramSummary,
@@ -871,7 +867,7 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
             d,
             "{{\"client\":{},\"requests\":{},\"errors\":{},\"retries\":{},\"degraded\":{},\
              \"shed\":{},\"spent_steps\":{},\"exit_hits\":{},\"exit_misses\":{},\
-             \"shared_hits\":{},\"latency_us\":{}}}",
+             \"latency_us\":{}}}",
             esc(&t.client),
             t.requests,
             t.errors,
@@ -881,7 +877,6 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
             t.spent_steps,
             t.exit_hits,
             t.exit_misses,
-            t.shared_hits,
             summary_json(&t.latency_us),
         );
     }
@@ -893,7 +888,7 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
         let _ = write!(
             d,
             "{{\"program\":{},\"content\":{},\"live\":{},\"quarantined\":{},\"resident\":{},\
-             \"exit_hits\":{},\"exit_misses\":{},\"shared_hits\":{},\"latency_us\":{}}}",
+             \"exit_hits\":{},\"exit_misses\":{},\"latency_us\":{}}}",
             esc(&r.program),
             esc(&r.content),
             r.live,
@@ -901,7 +896,6 @@ pub fn stats_doc(s: &StatsSnapshot) -> String {
             r.resident,
             r.exit_hits,
             r.exit_misses,
-            r.shared_hits,
             summary_json(&r.latency_us),
         );
     }
@@ -1182,7 +1176,6 @@ pub fn validate_stats_doc(v: &Json) -> Result<String, String> {
             "spent_steps",
             "exit_hits",
             "exit_misses",
-            "shared_hits",
         ] {
             need_u64(t, key).map_err(|e| format!("tenant: {e}"))?;
         }
@@ -1201,7 +1194,7 @@ pub fn validate_stats_doc(v: &Json) -> Result<String, String> {
                 ));
             }
         }
-        for key in ["resident", "exit_hits", "exit_misses", "shared_hits"] {
+        for key in ["resident", "exit_hits", "exit_misses"] {
             need_u64(s, key).map_err(|e| format!("session: {e}"))?;
         }
         for key in ["live", "quarantined"] {

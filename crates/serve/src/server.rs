@@ -179,7 +179,6 @@ struct TenantAgg {
     spent_steps: u64,
     exit_hits: u64,
     exit_misses: u64,
-    shared_hits: u64,
     latency: Histogram,
 }
 
@@ -443,7 +442,6 @@ impl Server {
                 spent_steps: t.spent_steps,
                 exit_hits: t.exit_hits,
                 exit_misses: t.exit_misses,
-                shared_hits: t.shared_hits,
                 latency_us: t.latency.summary(),
             })
             .collect();
@@ -883,7 +881,6 @@ impl Server {
             t.spent_steps += timing.spend;
             t.exit_hits += memo.exit_hits;
             t.exit_misses += memo.exit_misses;
-            t.shared_hits += memo.shared_hits;
             t.latency.record(total_us as f64);
             obs.session_lat
                 .entry(hash.to_string())

@@ -3,10 +3,11 @@
 //! count, `AnalysisSession::query_batch` answers bit-for-bit like the
 //! reference slicers (`slice_from`, `cs_slice`) run one query at a time.
 //!
-//! This holds by construction — workers share only immutable data (the
-//! frozen CSR graph, the down-edge index) and per-worker scratch reuse
-//! clears or memoises only query-independent facts — and this test pins
-//! the construction down against the whole evaluation suite.
+//! This holds by construction — every query, batched or not, runs through
+//! one per-query function; workers share only immutable data (the frozen
+//! CSR graph and its down-edge index); and per-worker scratch reuse clears
+//! or memoises only query-independent facts — and this test pins the
+//! construction down against the whole evaluation suite.
 
 use thinslice::{
     cs_slice, slice_from, AnalysisSession, Engine, Query, RunCtx, SliceKind, SliceResult, StmtSet,
@@ -33,8 +34,8 @@ fn print_seeds<G: DepGraph>(program: &thinslice_ir::Program, graph: &G) -> Vec<S
 }
 
 /// One query per seed, tiled to `n` queries when `n` is larger, so batches
-/// can be made large enough to take the prefiltered and memoising fast
-/// paths as well as the small-batch path.
+/// can be made large enough that every worker's scratch serves repeated
+/// queries (and its tabulation memo is hit).
 fn queries(seeds: &[StmtRef], n: usize, kind: SliceKind, engine: Engine) -> Vec<Query> {
     seeds
         .iter()
@@ -119,9 +120,9 @@ fn batched_tabulation_matches_sequential_on_all_benchmarks() {
 
 #[test]
 fn large_batches_match_sequential_through_every_fast_path() {
-    // Tile queries past the batch engine's internal thresholds so the
-    // per-batch edge prefilter and the scratch-memoisation paths are all
-    // exercised, on both engines.
+    // Tile queries so each of two workers answers many of them on one
+    // scratch: repeated BFS queries on dirtied buffers and tabulation
+    // queries that splice memoised callee regions, on both engines.
     let b = thinslice_suite::benchmark_named("nanoxml").expect("nanoxml exists");
     let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
 

@@ -136,21 +136,35 @@ fn governed_queries_return_truncated_subsets_of_the_full_answer() {
 fn batched_queries_match_sequential_queries_on_all_benchmarks() {
     for b in thinslice_suite::all_benchmarks() {
         let mut s = b.session(PtaConfig::default(), RunCtx::disabled());
-        // A mixed batch: every kind on both engines for every seed, so the
-        // batch path has to group by (engine, kind) and reassemble.
+        // A mixed batch: every kind on both engines for every seed, plus a
+        // step-budgeted CI query, so the batch path has to group by
+        // (engine, kind, policy), run the governed group guarded, and
+        // reassemble. CS queries stay unbudgeted: a memoising tabulation's
+        // truncation point depends on which earlier queries warmed its
+        // scratch.
+        let steps = QueryPolicy {
+            budget: Some(Budget::unlimited().with_step_limit(20)),
+            ..QueryPolicy::default()
+        };
         let mut queries = Vec::new();
         for seed in print_seeds(s.program(), 2) {
             for kind in KINDS {
                 queries.push(Query::new(vec![seed], kind, Engine::Ci));
                 queries.push(Query::new(vec![seed], kind, Engine::Cs));
+                queries.push(Query::new(vec![seed], kind, Engine::Ci).with_policy(steps.clone()));
             }
         }
         let sequential: Vec<_> = queries.iter().map(|q| s.query(q)).collect();
+        assert!(
+            sequential.iter().any(|r| !r.completeness.is_complete()),
+            "{}: the step budget must truncate some query",
+            b.name
+        );
         for threads in [1, 2, 4, 8] {
             let batched = s.query_batch(&queries, threads);
             assert_eq!(batched.len(), sequential.len());
             for (i, (got, want)) in batched.iter().zip(&sequential).enumerate() {
-                let got = got.slice.as_ref().expect("ungoverned batch never fails");
+                let got = got.slice.as_ref().expect("no faults injected");
                 assert_eq!(
                     got.stmts, want.stmts,
                     "{}: query {i} at {threads} threads",
