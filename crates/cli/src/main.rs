@@ -29,6 +29,8 @@ use thinslice::{
 };
 use thinslice_interp::{dynamic_thin_slice, run_ctx as interp_run, ExecConfig};
 use thinslice_ir::pretty;
+use thinslice_serve::protocol::SourceFile;
+use thinslice_util::telemetry::Json;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -158,39 +160,65 @@ impl Options {
     }
 }
 
-/// Parses the governance and telemetry flags shared by every command
-/// (`--deadline-ms`, `--step-budget`, `--fail-fast`, `--trace`,
-/// `--trace-format`, `--metrics-out`). Returns whether `flag` was one of
-/// them (its value, if any, consumed from `it`).
-fn parse_shared_flag(
-    o: &mut Options,
-    flag: &str,
-    it: &mut std::slice::Iter<'_, String>,
-) -> Result<bool, String> {
-    match flag {
-        "--deadline-ms" => {
-            let v = it.next().ok_or("--deadline-ms needs milliseconds")?;
-            o.deadline_ms = Some(v.parse().map_err(|_| format!("bad deadline {v:?}"))?);
-        }
-        "--step-budget" => {
-            let v = it.next().ok_or("--step-budget needs a count")?;
-            o.step_budget = Some(v.parse().map_err(|_| format!("bad step budget {v:?}"))?);
-        }
-        "--fail-fast" => o.fail_fast = true,
-        "--trace" => o.trace = true,
-        "--trace-format" => {
-            o.trace_json = match it.next().map(String::as_str) {
-                Some("json") => true,
-                Some("text") => false,
-                other => return Err(format!("unknown trace format {other:?}")),
-            };
-        }
-        "--metrics-out" => {
-            o.metrics_out = Some(it.next().ok_or("--metrics-out needs a path")?.clone());
-        }
-        _ => return Ok(false),
+/// The arguments of one command, walked once by [`parse_flags`]; a flag
+/// that takes a value pulls it from here.
+struct FlagArgs<'a> {
+    flag: &'a str,
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> FlagArgs<'a> {
+    /// The current flag's value: the next argument.
+    fn value(&mut self) -> Result<&'a str, String> {
+        let flag = self.flag;
+        self.rest
+            .next()
+            .map(String::as_str)
+            .ok_or_else(|| format!("{flag} needs a value"))
     }
-    Ok(true)
+
+    /// The current flag's value, parsed.
+    fn parse<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        let v = self.value()?;
+        v.parse()
+            .map_err(|_| format!("{}: bad value {v:?}", self.flag))
+    }
+
+    /// The current flag's value, parsed and required to be non-zero.
+    fn nonzero<T: std::str::FromStr + Default + PartialEq>(&mut self) -> Result<T, String> {
+        let v = self.parse()?;
+        if v == T::default() {
+            return Err(format!("{} must be at least 1", self.flag));
+        }
+        Ok(v)
+    }
+}
+
+/// The one flag loop every command's parser runs. `apply` gets each
+/// argument that starts with `-`, pulls the flag's value (if it takes
+/// one) through [`FlagArgs`], and returns `false` for a flag it does not
+/// know, which is an error. Every other argument is a positional; they
+/// are returned in order.
+fn parse_flags(
+    args: &[String],
+    mut apply: impl FnMut(&str, &mut FlagArgs<'_>) -> Result<bool, String>,
+) -> Result<Vec<String>, String> {
+    let mut positionals = Vec::new();
+    let mut a = FlagArgs {
+        flag: "",
+        rest: args.iter(),
+    };
+    while let Some(arg) = a.rest.next() {
+        if !arg.starts_with('-') {
+            positionals.push(arg.clone());
+            continue;
+        }
+        a.flag = arg;
+        if !apply(arg, &mut a)? {
+            return Err(format!("unknown flag {arg}"));
+        }
+    }
+    Ok(positionals)
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -216,56 +244,54 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         metrics_out: None,
         snapshot_dir: None,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if parse_shared_flag(&mut o, a.as_str(), &mut it)? {
-            continue;
-        }
-        match a.as_str() {
+    let files = parse_flags(args, |flag, a| {
+        match flag {
             "--seed" => {
-                let v = it.next().ok_or("--seed needs <file:line>")?;
-                let (f, l) = v.rsplit_once(':').ok_or("--seed format is <file:line>")?;
+                let (f, l) = a
+                    .value()?
+                    .rsplit_once(':')
+                    .ok_or("--seed format is <file:line>")?;
                 let line: u32 = l.parse().map_err(|_| format!("bad line number {l:?}"))?;
                 o.seed = Some((f.to_string(), line));
             }
             "--kind" => {
-                o.kind = match it.next().map(String::as_str) {
-                    Some("thin") => SliceKind::Thin,
-                    Some("data") => SliceKind::TraditionalData,
-                    Some("full") => SliceKind::TraditionalFull,
+                o.kind = match a.value()? {
+                    "thin" => SliceKind::Thin,
+                    "data" => SliceKind::TraditionalData,
+                    "full" => SliceKind::TraditionalFull,
                     other => return Err(format!("unknown slice kind {other:?}")),
                 };
             }
-            "--seeds-file" => {
-                o.seeds_file = Some(it.next().ok_or("--seeds-file needs a path")?.clone());
-            }
+            "--seeds-file" => o.seeds_file = Some(a.value()?.to_string()),
             "--all-seeds" => o.all_seeds = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a count")?;
-                o.threads = v.parse().map_err(|_| format!("bad thread count {v:?}"))?;
-                if o.threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-            }
+            "--threads" => o.threads = a.nonzero()?,
             "--cs" => o.context_sensitive = true,
             "--no-objsens" => o.object_sensitive = false,
-            "--line" => o.lines.push(it.next().ok_or("--line needs text")?.clone()),
-            "--int" => {
-                let v = it.next().ok_or("--int needs a number")?;
-                o.ints
-                    .push(v.parse().map_err(|_| format!("bad int {v:?}"))?);
-            }
+            "--line" => o.lines.push(a.value()?.to_string()),
+            "--int" => o.ints.push(a.parse()?),
             "--dynamic-slice" => o.dynamic_slice = true,
-            "--snapshot-dir" => {
-                o.snapshot_dir = Some(it.next().ok_or("--snapshot-dir needs a directory")?.clone());
+            "--snapshot-dir" => o.snapshot_dir = Some(a.value()?.to_string()),
+            // Governance and telemetry, shared by every analysis command.
+            "--deadline-ms" => o.deadline_ms = Some(a.parse()?),
+            "--step-budget" => o.step_budget = Some(a.parse()?),
+            "--fail-fast" => o.fail_fast = true,
+            "--trace" => o.trace = true,
+            "--trace-format" => {
+                o.trace_json = match a.value()? {
+                    "json" => true,
+                    "text" => false,
+                    other => return Err(format!("unknown trace format {other:?}")),
+                };
             }
-            f if !f.starts_with('-') => o.files.push(f.to_string()),
-            other => return Err(format!("unknown flag {other}")),
+            "--metrics-out" => o.metrics_out = Some(a.value()?.to_string()),
+            _ => return Ok(false),
         }
-    }
-    if o.files.is_empty() {
+        Ok(true)
+    })?;
+    if files.is_empty() {
         return Err("no input files".into());
     }
+    o.files = files;
     Ok(o)
 }
 
@@ -283,6 +309,22 @@ impl SnapshotPersist {
     }
 }
 
+/// Reads each source file, named by its basename: the name seeds and the
+/// daemon's `load` refer to it by.
+fn read_sources(files: &[String]) -> Result<Vec<SourceFile>, String> {
+    files
+        .iter()
+        .map(|f| {
+            let text = std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?;
+            let name = std::path::Path::new(f)
+                .file_name()
+                .map(|n| n.to_string_lossy().into_owned())
+                .unwrap_or_else(|| f.clone());
+            Ok(SourceFile { name, text })
+        })
+        .collect()
+}
+
 fn load(o: &Options, ctx: &RunCtx) -> Result<AnalysisSession, String> {
     load_with_snapshot(o, ctx).map(|(s, _)| s)
 }
@@ -291,18 +333,10 @@ fn load_with_snapshot(
     o: &Options,
     ctx: &RunCtx,
 ) -> Result<(AnalysisSession, Option<SnapshotPersist>), String> {
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for f in &o.files {
-        let text = std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?;
-        let name = std::path::Path::new(f)
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| f.clone());
-        sources.push((name, text));
-    }
+    let sources = read_sources(&o.files)?;
     let borrowed: Vec<(&str, &str)> = sources
         .iter()
-        .map(|(n, t)| (n.as_str(), t.as_str()))
+        .map(|s| (s.name.as_str(), s.text.as_str()))
         .collect();
     let config = if o.object_sensitive {
         thinslice_pta::PtaConfig::default()
@@ -351,17 +385,12 @@ fn resolve_seed(
 
 fn real_main(args: &[String]) -> Result<(), String> {
     let (cmd, rest) = args.split_first().ok_or("no command")?;
-    if cmd == "serve" {
-        // The daemon takes no input files and has its own flag set.
-        return cmd_serve(rest);
-    }
-    if cmd == "stats" {
-        // The stats client talks to a running daemon, no input files.
-        return cmd_stats(rest);
-    }
-    if cmd == "reload" {
-        // The reload client pushes edited sources to a running daemon.
-        return cmd_reload(rest);
+    // The daemon and its two socket clients have flag sets of their own.
+    match cmd.as_str() {
+        "serve" => return cmd_serve(rest),
+        "stats" => return cmd_stats(rest),
+        "reload" => return cmd_reload(rest),
+        _ => {}
     }
     let o = parse_options(rest)?;
     let ctx = o.run_ctx();
@@ -404,7 +433,6 @@ fn emit_telemetry(o: &Options, tel: &Telemetry) -> Result<(), String> {
 /// document the `stats` op embeds). Dispatches on the `schema` field of
 /// the first non-empty line; any other schema id is rejected by name.
 fn cmd_validate_report(o: &Options) -> Result<(), String> {
-    use thinslice_util::telemetry::Json;
     for path in &o.files {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let first_schema = text
@@ -468,62 +496,34 @@ struct ServeCli {
 }
 
 fn parse_serve_options(args: &[String]) -> Result<ServeCli, String> {
-    fn num<T: std::str::FromStr>(
-        it: &mut std::slice::Iter<'_, String>,
-        flag: &str,
-    ) -> Result<T, String> {
-        let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-        v.parse().map_err(|_| format!("{flag}: bad value {v:?}"))
-    }
     let mut cfg = thinslice_serve::ServeConfig::default();
     let mut socket = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?.clone()),
-            "--workers" => {
-                cfg.workers = num(&mut it, "--workers")?;
-                if cfg.workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
-            "--max-sessions" => {
-                cfg.pool.max_sessions = num(&mut it, "--max-sessions")?;
-                if cfg.pool.max_sessions == 0 {
-                    return Err("--max-sessions must be at least 1".into());
-                }
-            }
-            "--resident-watermark" => {
-                cfg.pool.resident_watermark = Some(num(&mut it, "--resident-watermark")?);
-            }
-            "--snapshot-dir" => {
-                cfg.pool.snapshot_dir =
-                    Some(it.next().ok_or("--snapshot-dir needs a directory")?.clone());
-            }
-            "--deadline-ms" => cfg.default_deadline_ms = Some(num(&mut it, "--deadline-ms")?),
-            "--step-budget" => cfg.default_step_budget = Some(num(&mut it, "--step-budget")?),
-            "--degrade-pending" => cfg.degrade_pending = num(&mut it, "--degrade-pending")?,
-            "--truncate-pending" => cfg.truncate_pending = num(&mut it, "--truncate-pending")?,
-            "--truncate-step-cap" => cfg.truncate_step_cap = num(&mut it, "--truncate-step-cap")?,
-            "--client-step-budget" => {
-                cfg.client_step_budget = Some(num(&mut it, "--client-step-budget")?);
-            }
-            "--max-program-bytes" => {
-                cfg.max_program_bytes = num(&mut it, "--max-program-bytes")?;
-            }
-            "--retries" => cfg.retries = num(&mut it, "--retries")?,
+    let files = parse_flags(args, |flag, a| {
+        match flag {
+            "--socket" => socket = Some(a.value()?.to_string()),
+            "--workers" => cfg.workers = a.nonzero()?,
+            "--max-sessions" => cfg.pool.max_sessions = a.nonzero()?,
+            "--resident-watermark" => cfg.pool.resident_watermark = Some(a.parse()?),
+            "--snapshot-dir" => cfg.pool.snapshot_dir = Some(a.value()?.to_string()),
+            "--deadline-ms" => cfg.default_deadline_ms = Some(a.parse()?),
+            "--step-budget" => cfg.default_step_budget = Some(a.parse()?),
+            "--degrade-pending" => cfg.degrade_pending = a.parse()?,
+            "--truncate-pending" => cfg.truncate_pending = a.parse()?,
+            "--truncate-step-cap" => cfg.truncate_step_cap = a.parse()?,
+            "--client-step-budget" => cfg.client_step_budget = Some(a.parse()?),
+            "--max-program-bytes" => cfg.max_program_bytes = a.parse()?,
+            "--retries" => cfg.retries = a.parse()?,
             "--chaos" => cfg.chaos = true,
             "--trace" => cfg.trace = true,
-            "--recorder-capacity" => cfg.recorder_capacity = num(&mut it, "--recorder-capacity")?,
-            "--slow-ms" => cfg.slow_ms = Some(num(&mut it, "--slow-ms")?),
-            "--stats-interval" => {
-                cfg.stats_interval = Some(num(&mut it, "--stats-interval")?);
-                if cfg.stats_interval == Some(0) {
-                    return Err("--stats-interval must be at least 1 second".into());
-                }
-            }
-            other => return Err(format!("unknown serve flag {other}")),
+            "--recorder-capacity" => cfg.recorder_capacity = a.parse()?,
+            "--slow-ms" => cfg.slow_ms = Some(a.parse()?),
+            "--stats-interval" => cfg.stats_interval = Some(a.nonzero()?),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if let Some(f) = files.first() {
+        return Err(format!("serve takes no input files, got {f}"));
     }
     // In stdin mode the reader thread may be blocked on a read when a
     // signal lands; the server drains, flushes, and exits the process.
@@ -596,15 +596,17 @@ struct StatsCli {
 }
 
 fn parse_stats_options(args: &[String]) -> Result<StatsCli, String> {
-    let mut socket = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?.clone()),
+    let (mut socket, mut json) = (None, false);
+    let files = parse_flags(args, |flag, a| {
+        match flag {
+            "--socket" => socket = Some(a.value()?.to_string()),
             "--json" => json = true,
-            other => return Err(format!("unknown stats flag {other}")),
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if let Some(f) = files.first() {
+        return Err(format!("stats takes no input files, got {f}"));
     }
     Ok(StatsCli {
         socket: socket.ok_or("stats needs --socket <path> (the daemon's socket)")?,
@@ -615,57 +617,17 @@ fn parse_stats_options(args: &[String]) -> Result<StatsCli, String> {
 /// One-shot observability client: asks a running daemon for its
 /// `thinslice.serve_stats.v1` snapshot over the Unix socket and renders
 /// it as a `top`-style table (or the raw response line with `--json`).
-#[cfg(unix)]
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Write};
-    use thinslice_util::telemetry::Json;
     let cli = parse_stats_options(args)?;
-    let mut stream = std::os::unix::net::UnixStream::connect(&cli.socket).map_err(|e| {
-        format!(
-            "{}: {e} (is `thinslice serve --socket {}` running?)",
-            cli.socket, cli.socket
-        )
-    })?;
-    stream
-        .write_all(b"{\"op\":\"stats\",\"id\":0,\"client\":\"thinslice-stats\"}\n")
-        .map_err(|e| format!("{}: write: {e}", cli.socket))?;
-    let mut line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut line)
-        .map_err(|e| format!("{}: read: {e}", cli.socket))?;
-    let line = line.trim_end();
-    if line.is_empty() {
-        return Err(format!(
-            "{}: the daemon closed the connection without answering",
-            cli.socket
-        ));
-    }
-    thinslice_serve::protocol::validate_response_line(line)
-        .map_err(|e| format!("{}: bad response: {e}", cli.socket))?;
-    if cli.json {
-        println!("{line}");
+    let request = r#"{"op":"stats","id":0,"client":"thinslice-stats"}"#;
+    let Some(v) = daemon_request(&cli.socket, request, cli.json)? else {
         return Ok(());
-    }
-    let v = Json::parse(line).map_err(|e| format!("{}: {e}", cli.socket))?;
-    if !matches!(v.get("ok"), Some(Json::Bool(true))) {
-        let msg = v
-            .get("error")
-            .and_then(|e| e.get("message"))
-            .and_then(Json::as_str)
-            .unwrap_or("unknown error");
-        return Err(format!("{}: daemon error: {msg}", cli.socket));
-    }
+    };
     let doc = v
         .get("stats")
         .ok_or_else(|| format!("{}: response has no embedded stats document", cli.socket))?;
-    print!("{}", render_stats(doc));
+    print!("{}", thinslice_serve::protocol::render_stats(doc));
     Ok(())
-}
-
-#[cfg(not(unix))]
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let _ = parse_stats_options(args)?;
-    Err("stats talks to a Unix-socket daemon; only supported on unix".into())
 }
 
 /// The reload subcommand's options: which daemon socket to talk to, which
@@ -678,20 +640,16 @@ struct ReloadCli {
 }
 
 fn parse_reload_options(args: &[String]) -> Result<ReloadCli, String> {
-    let mut socket = None;
-    let mut program = None;
-    let mut files = Vec::new();
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?.clone()),
-            "--program" => program = Some(it.next().ok_or("--program needs a hash")?.clone()),
+    let (mut socket, mut program, mut json) = (None, None, false);
+    let files = parse_flags(args, |flag, a| {
+        match flag {
+            "--socket" => socket = Some(a.value()?.to_string()),
+            "--program" => program = Some(a.value()?.to_string()),
             "--json" => json = true,
-            other if other.starts_with("--") => return Err(format!("unknown reload flag {other}")),
-            file => files.push(file.to_string()),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if files.is_empty() {
         return Err("reload needs the edited source files".into());
     }
@@ -707,61 +665,18 @@ fn parse_reload_options(args: &[String]) -> Result<ReloadCli, String> {
 /// One-shot reload client: pushes edited sources to a running daemon under
 /// an existing program key (`reload` op) and reports the new content hash.
 /// File names are sent as basenames, matching what `load` registered.
-#[cfg(unix)]
 fn cmd_reload(args: &[String]) -> Result<(), String> {
-    use std::io::{BufRead, BufReader, Write};
-    use thinslice_util::telemetry::Json;
     let cli = parse_reload_options(args)?;
-    let mut sources = Vec::new();
-    for f in &cli.files {
-        let text = std::fs::read_to_string(f).map_err(|e| format!("{f}: {e}"))?;
-        let name = std::path::Path::new(f)
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| f.clone());
-        sources.push(thinslice_serve::protocol::SourceFile { name, text });
-    }
+    let sources = read_sources(&cli.files)?;
     let request = thinslice_serve::protocol::reload_request_line(
         0,
         "thinslice-reload",
         &cli.program,
         &sources,
     );
-    let mut stream = std::os::unix::net::UnixStream::connect(&cli.socket).map_err(|e| {
-        format!(
-            "{}: {e} (is `thinslice serve --socket {}` running?)",
-            cli.socket, cli.socket
-        )
-    })?;
-    stream
-        .write_all(format!("{request}\n").as_bytes())
-        .map_err(|e| format!("{}: write: {e}", cli.socket))?;
-    let mut line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut line)
-        .map_err(|e| format!("{}: read: {e}", cli.socket))?;
-    let line = line.trim_end();
-    if line.is_empty() {
-        return Err(format!(
-            "{}: the daemon closed the connection without answering",
-            cli.socket
-        ));
-    }
-    thinslice_serve::protocol::validate_response_line(line)
-        .map_err(|e| format!("{}: bad response: {e}", cli.socket))?;
-    if cli.json {
-        println!("{line}");
+    let Some(v) = daemon_request(&cli.socket, &request, cli.json)? else {
         return Ok(());
-    }
-    let v = Json::parse(line).map_err(|e| format!("{}: {e}", cli.socket))?;
-    if !matches!(v.get("ok"), Some(Json::Bool(true))) {
-        let msg = v
-            .get("error")
-            .and_then(|e| e.get("message"))
-            .and_then(Json::as_str)
-            .unwrap_or("unknown error");
-        return Err(format!("{}: daemon error: {msg}", cli.socket));
-    }
+    };
     let s = |key: &str| v.get(key).and_then(Json::as_str).unwrap_or("?").to_string();
     let u = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
     println!(
@@ -774,177 +689,49 @@ fn cmd_reload(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(not(unix))]
-fn cmd_reload(args: &[String]) -> Result<(), String> {
-    let _ = parse_reload_options(args)?;
-    Err("reload talks to a Unix-socket daemon; only supported on unix".into())
+/// One round trip to the daemon listening on `socket`: writes `request`
+/// as one line and reads and validates the one response line. Under
+/// `--json` the raw line is printed and `None` returned; otherwise the
+/// parsed response comes back, with an `ok:false` answer as the error.
+#[cfg(unix)]
+fn daemon_request(socket: &str, request: &str, json: bool) -> Result<Option<Json>, String> {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = std::os::unix::net::UnixStream::connect(socket)
+        .map_err(|e| format!("{socket}: {e} (is `thinslice serve --socket {socket}` running?)"))?;
+    stream
+        .write_all(format!("{request}\n").as_bytes())
+        .map_err(|e| format!("{socket}: write: {e}"))?;
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .map_err(|e| format!("{socket}: read: {e}"))?;
+    let line = line.trim_end();
+    if line.is_empty() {
+        return Err(format!(
+            "{socket}: the daemon closed the connection without answering"
+        ));
+    }
+    thinslice_serve::protocol::validate_response_line(line)
+        .map_err(|e| format!("{socket}: bad response: {e}"))?;
+    if json {
+        println!("{line}");
+        return Ok(None);
+    }
+    let v = Json::parse(line).map_err(|e| format!("{socket}: {e}"))?;
+    if !matches!(v.get("ok"), Some(Json::Bool(true))) {
+        let msg = v
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap_or("unknown error");
+        return Err(format!("{socket}: daemon error: {msg}"));
+    }
+    Ok(Some(v))
 }
 
-/// Renders a parsed `thinslice.serve_stats.v1` document as text: a daemon
-/// header line, the per-tenant table, the per-session table, the
-/// slow-query log, and the flight-recorder tail. Missing fields render as
-/// zeros rather than failing — the wire doc was already validated.
-fn render_stats(doc: &thinslice_util::telemetry::Json) -> String {
-    use std::fmt::Write as _;
-    use thinslice_util::telemetry::Json;
-    fn u(v: &Json, key: &str) -> u64 {
-        v.get(key).and_then(Json::as_u64).unwrap_or(0)
-    }
-    fn f(v: &Json, key: &str) -> f64 {
-        v.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-    }
-    fn s<'a>(v: &'a Json, key: &str) -> &'a str {
-        v.get(key).and_then(Json::as_str).unwrap_or("?")
-    }
-    fn arr<'a>(v: &'a Json, key: &str) -> &'a [Json] {
-        v.get(key).and_then(Json::as_arr).unwrap_or(&[])
-    }
-    /// Exit-memo hit rate in percent, from hit/miss counters on `v`.
-    fn memo_pct(v: &Json) -> f64 {
-        let hits = u(v, "exit_hits");
-        let total = hits + u(v, "exit_misses");
-        if total > 0 {
-            100.0 * hits as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-    let pool = doc.get("pool");
-    let server = doc.get("server");
-    let pu = |key: &str| pool.map_or(0, |p| u(p, key));
-    let su = |key: &str| server.map_or(0, |p| u(p, key));
-    let mut out = format!(
-        "thinslice-serve up {:.1}s · pool {}/{} sessions ({} quarantined, resident {}) · \
-         served {} errors {} panics {} · recorder {}/{} events\n",
-        u(doc, "uptime_ms") as f64 / 1000.0,
-        pu("live_sessions"),
-        pu("capacity"),
-        pu("quarantined"),
-        pu("resident"),
-        su("served"),
-        su("errors"),
-        su("panics"),
-        su("recorded").min(su("recorder_capacity")),
-        su("recorder_capacity"),
-    );
-    // Warm-start snapshot traffic; an all-zero row (snapshots disabled
-    // or untouched) is omitted to keep the idle header to one line.
-    let (sh, sm, sw, sc) = (
-        pu("snapshot_hits"),
-        pu("snapshot_misses"),
-        pu("snapshot_writes"),
-        pu("snapshot_discarded_corrupt"),
-    );
-    if sh + sm + sw + sc > 0 {
-        let _ = writeln!(
-            out,
-            "snapshots: {sh} restored, {sm} missed, {sw} written, {sc} discarded corrupt"
-        );
-    }
-    let tenants = arr(doc, "tenants");
-    if !tenants.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9} {:>9} {:>9} {:>6}",
-            "CLIENT",
-            "REQ",
-            "ERR",
-            "RETRY",
-            "DEGR",
-            "SHED",
-            "STEPS",
-            "p50us",
-            "p95us",
-            "maxus",
-            "MEMO%"
-        );
-        for t in tenants {
-            let lat = t.get("latency_us");
-            let lf = |key: &str| lat.map_or(0.0, |l| f(l, key));
-            let _ = writeln!(
-                out,
-                "{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9.0} {:>9.0} {:>9.0} {:>6.1}",
-                s(t, "client"),
-                u(t, "requests"),
-                u(t, "errors"),
-                u(t, "retries"),
-                u(t, "degraded"),
-                u(t, "shed"),
-                u(t, "spent_steps"),
-                lf("p50"),
-                lf("p95"),
-                lf("max"),
-                memo_pct(t),
-            );
-        }
-    }
-    let sessions = arr(doc, "sessions");
-    if !sessions.is_empty() {
-        let _ = writeln!(
-            out,
-            "\n{:<16} {:>5} {:>5} {:>10} {:>6} {:>6} {:>9}",
-            "SESSION", "LIVE", "QUAR", "RESIDENT", "REQ", "MEMO%", "p95us"
-        );
-        for r in sessions {
-            let yes = |key: &str| {
-                if matches!(r.get(key), Some(Json::Bool(true))) {
-                    "yes"
-                } else {
-                    "no"
-                }
-            };
-            let lat = r.get("latency_us");
-            let _ = writeln!(
-                out,
-                "{:<16} {:>5} {:>5} {:>10} {:>6} {:>6.1} {:>9.0}",
-                s(r, "program"),
-                yes("live"),
-                yes("quarantined"),
-                u(r, "resident"),
-                lat.map_or(0, |l| u(l, "count")),
-                memo_pct(r),
-                lat.map_or(0.0, |l| f(l, "p95")),
-            );
-        }
-    }
-    let slow = arr(doc, "slow");
-    if !slow.is_empty() {
-        let _ = writeln!(out, "\nslow queries ({}):", slow.len());
-        for q in slow {
-            let id = q
-                .get("id")
-                .and_then(Json::as_u64)
-                .map_or("null".to_string(), |n| n.to_string());
-            let _ = writeln!(
-                out,
-                "  id={id} client={} {}/{} {} queue {}us exec {}us total {}us spend {}",
-                s(q, "client"),
-                s(q, "kind"),
-                s(q, "engine"),
-                s(q, "completeness"),
-                u(q, "queue_us"),
-                u(q, "exec_us"),
-                u(q, "total_us"),
-                u(q, "spend"),
-            );
-        }
-    }
-    let events = arr(doc, "events");
-    if !events.is_empty() {
-        let _ = writeln!(out, "\nrecent events ({}):", events.len());
-        for e in events {
-            let _ = writeln!(
-                out,
-                "  #{} {} {} a={} b={}",
-                u(e, "seq"),
-                s(e, "kind"),
-                s(e, "label"),
-                u(e, "a"),
-                u(e, "b"),
-            );
-        }
-    }
-    out
+#[cfg(not(unix))]
+fn daemon_request(_socket: &str, _request: &str, _json: bool) -> Result<Option<Json>, String> {
+    Err("--socket is only supported on unix".into())
 }
 
 /// Parses the text of a `--seeds-file`: one `file:line` seed per line,
@@ -1509,64 +1296,5 @@ mod tests {
         assert!(stats_opts(&[]).is_err(), "--socket is required");
         assert!(stats_opts(&["--socket"]).is_err());
         assert!(stats_opts(&["--wat"]).is_err());
-    }
-
-    #[test]
-    fn renders_stats_documents() {
-        use thinslice_util::telemetry::Json;
-        let doc = Json::parse(
-            r#"{"schema":"thinslice.serve_stats.v1","uptime_ms":1500,
-                "pool":{"programs":1,"live_sessions":1,"capacity":8,"quarantined":0,
-                        "resident":123,"hits":3,"misses":1,"builds":1,"evictions":0,
-                        "quarantines":0,"rebuilds":0,"reloads":0,
-                        "snapshot_hits":2,"snapshot_misses":1,"snapshot_writes":3,
-                        "snapshot_discarded_corrupt":1},
-                "server":{"served":4,"errors":0,"panics":0,"recorded":6,"recorder_capacity":256},
-                "tenants":[{"client":"alpha","requests":4,"errors":0,"retries":0,"degraded":1,
-                            "shed":0,"spent_steps":900,"exit_hits":3,"exit_misses":1,
-                            "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
-                "sessions":[{"program":"00deadbeef00cafe","content":"00deadbeef00cafe","live":true,"quarantined":false,
-                             "resident":123,"exit_hits":3,"exit_misses":1,
-                             "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
-                "slow":[{"id":7,"client":"alpha","program":"00deadbeef00cafe","kind":"thin",
-                         "engine":"ci","admission":"full","completeness":"complete","seeds":1,
-                         "queue_us":10,"exec_us":90,"total_us":100,"spend":200}],
-                "events":[{"seq":0,"kind":"session_built","label":"00deadbeef00cafe",
-                           "a":123,"b":0}]}"#,
-        )
-        .unwrap();
-        // The fixture passes the wire validator, so the renderer is
-        // exercised on exactly the shape a daemon emits.
-        thinslice_serve::protocol::validate_stats_doc(&doc).unwrap();
-        let text = render_stats(&doc);
-        assert!(text.contains("up 1.5s"), "{text}");
-        assert!(text.contains("pool 1/8 sessions"), "{text}");
-        assert!(
-            text.contains("snapshots: 2 restored, 1 missed, 3 written, 1 discarded corrupt"),
-            "{text}"
-        );
-        assert!(text.contains("CLIENT"), "{text}");
-        assert!(text.contains("alpha"), "{text}");
-        assert!(text.contains("75.0"), "memo hit rate: {text}");
-        assert!(text.contains("SESSION"), "{text}");
-        assert!(text.contains("00deadbeef00cafe"), "{text}");
-        assert!(text.contains("slow queries (1):"), "{text}");
-        assert!(text.contains("queue 10us exec 90us total 100us"), "{text}");
-        assert!(text.contains("session_built"), "{text}");
-        // An idle daemon renders just the header line.
-        let idle = Json::parse(
-            r#"{"schema":"thinslice.serve_stats.v1","uptime_ms":0,
-                "pool":{"programs":0,"live_sessions":0,"capacity":8,"quarantined":0,
-                        "resident":0,"hits":0,"misses":0,"builds":0,"evictions":0,
-                        "quarantines":0,"rebuilds":0,"reloads":0,
-                        "snapshot_hits":0,"snapshot_misses":0,"snapshot_writes":0,
-                        "snapshot_discarded_corrupt":0},
-                "server":{"served":0,"errors":0,"panics":0,"recorded":0,"recorder_capacity":256},
-                "tenants":[],"sessions":[],"slow":[],"events":[]}"#,
-        )
-        .unwrap();
-        let text = render_stats(&idle);
-        assert_eq!(text.lines().count(), 1, "{text}");
-        assert!(text.contains("served 0 errors 0 panics 0"), "{text}");
     }
 }

@@ -117,3 +117,43 @@ fn commands_build_only_the_stages_they_read() {
     );
     std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
+
+/// A socket daemon whose descriptors run out keeps serving: with `ulimit -n
+/// 48`, 40 idle connections make `accept` fail with EMFILE, which must be
+/// retried rather than taken as a shutdown.
+#[cfg(unix)]
+#[test]
+fn socket_daemon_survives_descriptor_exhaustion() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    let dir = std::env::temp_dir().join(format!("thinslice-cli-emfile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sock = dir.join("daemon.sock");
+    let mut daemon = Command::new("sh")
+        .args(["-c", "ulimit -n 48; exec \"$0\" serve --socket \"$1\""])
+        .arg(env!("CARGO_BIN_EXE_thinslice"))
+        .arg(&sock)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("sh runs");
+    // The daemon announces the socket once it is bound.
+    let mut stderr = BufReader::new(daemon.stderr.take().unwrap());
+    stderr.read_line(&mut String::new()).unwrap();
+    let idle: Vec<UnixStream> = (0..40)
+        .map(|_| UnixStream::connect(&sock).unwrap())
+        .collect();
+    std::thread::sleep(std::time::Duration::from_millis(500));
+    drop(idle);
+    let answer = UnixStream::connect(&sock).and_then(|mut c| {
+        c.set_read_timeout(Some(std::time::Duration::from_secs(30)))?;
+        c.write_all(b"{\"op\":\"status\",\"id\":1}\n{\"op\":\"shutdown\",\"id\":2}\n")?;
+        let mut line = String::new();
+        BufReader::new(c).read_line(&mut line)?;
+        Ok(line)
+    });
+    let _ = daemon.kill();
+    let _ = daemon.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    let answer = answer.expect("the daemon still accepts connections");
+    assert!(answer.contains("\"op\":\"status\""), "{answer}");
+}

@@ -57,4 +57,4 @@ pub mod server;
 
 pub use pool::{PoolConfig, SessionPool};
 pub use protocol::{Admission, RESPONSE_SCHEMA, SERVE_STATS_SCHEMA};
-pub use server::{shared_out, Ingest, ServeConfig, ServeSummary, Server, SharedOut};
+pub use server::{shared_out, ServeConfig, ServeSummary, Server, SharedOut};

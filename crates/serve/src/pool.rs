@@ -153,11 +153,6 @@ pub struct Checkout {
 }
 
 impl Checkout {
-    /// The program hash this session serves.
-    pub fn hash(&self) -> &str {
-        &self.hash
-    }
-
     /// The session, exclusively borrowed.
     pub fn session(&mut self) -> &mut AnalysisSession {
         &mut self.session
@@ -241,76 +236,73 @@ impl SessionPool {
         RunCtx::disabled().with_telemetry(self.telemetry.clone())
     }
 
-    fn build_session(&self, sources: &[SourceFile]) -> Result<Box<AnalysisSession>, CompileError> {
-        let refs: Vec<(&str, &str)> = sources
-            .iter()
-            .map(|s| (s.name.as_str(), s.text.as_str()))
-            .collect();
-        Ok(Box::new(AnalysisSession::with_ctx(
-            &refs,
-            self.cfg.pta.clone(),
-            self.session_ctx(),
-        )?))
-    }
-
-    /// Attempts a warm start from the snapshot keyed by content hash,
-    /// counting the outcome. A corrupt or stale file is deleted so it
-    /// is not re-parsed on every subsequent build.
-    fn warm_start(&mut self, content: &str) -> Option<Box<AnalysisSession>> {
-        let store = self.store.clone()?;
-        match store.try_load(content, self.cfg.pta.clone(), self.session_ctx()) {
-            SnapshotLoad::Loaded(session) => {
-                self.stats.snapshot_hits += 1;
-                self.flight(
-                    FlightKind::SessionBuilt,
-                    content,
-                    session.resident_estimate() as u64,
-                    2, // restored from snapshot, not compiled
-                );
-                Some(session)
+    /// Opens a session over `sources`, the one way every entry gets one:
+    /// restored from the snapshot keyed `content` when one loads, else
+    /// compiled, recorded as a `session_built` event labelled `key` when
+    /// `built` carries the event's tag, and persisted. Counts one build
+    /// and the snapshot lookup's outcome; a corrupt or stale snapshot is
+    /// deleted so it is not re-parsed on every later build.
+    fn open_session(
+        &mut self,
+        key: &str,
+        content: &str,
+        sources: &[SourceFile],
+        built: Option<u64>,
+    ) -> Result<Box<AnalysisSession>, CompileError> {
+        let restored = match &self.store {
+            None => None,
+            Some(store) => {
+                match store.try_load(content, self.cfg.pta.clone(), self.session_ctx()) {
+                    SnapshotLoad::Loaded(session) => {
+                        self.stats.snapshot_hits += 1;
+                        // Tag 2: restored from a snapshot, not compiled.
+                        let resident = session.resident_estimate() as u64;
+                        self.flight(FlightKind::SessionBuilt, content, resident, 2);
+                        Some(session)
+                    }
+                    SnapshotLoad::Missing => {
+                        self.stats.snapshot_misses += 1;
+                        None
+                    }
+                    SnapshotLoad::Discarded => {
+                        self.stats.snapshot_discarded_corrupt += 1;
+                        store.invalidate(content);
+                        None
+                    }
+                }
             }
-            SnapshotLoad::Missing => {
-                self.stats.snapshot_misses += 1;
-                None
+        };
+        let session = match restored {
+            Some(session) => session,
+            None => {
+                let refs: Vec<(&str, &str)> = sources
+                    .iter()
+                    .map(|s| (s.name.as_str(), s.text.as_str()))
+                    .collect();
+                let session = Box::new(AnalysisSession::with_ctx(
+                    &refs,
+                    self.cfg.pta.clone(),
+                    self.session_ctx(),
+                )?);
+                if let Some(tag) = built {
+                    let resident = session.resident_estimate() as u64;
+                    self.flight(FlightKind::SessionBuilt, key, resident, tag);
+                }
+                persist(self.store.as_ref(), &mut self.stats, &session, content);
+                session
             }
-            SnapshotLoad::Discarded => {
-                self.stats.snapshot_discarded_corrupt += 1;
-                store.invalidate(content);
-                None
-            }
-        }
-    }
-
-    /// Best-effort snapshot persistence; a declined or failed save is
-    /// invisible to the query path.
-    fn persist(&mut self, session: &AnalysisSession, content: &str) {
-        if let Some(store) = &self.store {
-            if store.save(session, content).is_some() {
-                self.stats.snapshot_writes += 1;
-            }
-        }
-    }
-
-    /// Deletes the snapshot keyed `content` (a reload made it stale).
-    fn invalidate_snapshot(&self, content: &str) {
-        if let Some(store) = &self.store {
-            store.invalidate(content);
-        }
+        };
+        self.stats.builds += 1;
+        Ok(session)
     }
 
     /// Persists every live session. The server calls this on drain so a
     /// restarted daemon warm-starts with all forced stages intact.
     pub fn persist_all(&mut self) {
-        if self.store.is_none() {
-            return;
-        }
-        for i in 0..self.entries.len() {
-            let session = self.entries[i].session.take();
-            let content = self.entries[i].content.clone();
-            if let Some(s) = &session {
-                self.persist(s, &content);
+        for e in &self.entries {
+            if let Some(s) = &e.session {
+                persist(self.store.as_ref(), &mut self.stats, s, &e.content);
             }
-            self.entries[i].session = session;
         }
     }
 
@@ -328,47 +320,22 @@ impl SessionPool {
     /// pool is left unchanged).
     pub fn register(&mut self, sources: Vec<SourceFile>) -> Result<RegisterOutcome, CompileError> {
         let hash = program_hash(&sources);
-        if let Some(i) = self.find(&hash) {
-            if self.entries[i].session.is_some() {
-                self.stats.hits += 1;
-                let now = self.tick();
-                let e = &mut self.entries[i];
-                e.last_used = now;
-                return Ok(RegisterOutcome {
-                    hash,
-                    cached: true,
-                    resident: e.resident,
-                });
-            }
-            // Known program, evicted or quarantined session: fall through
-            // to checkout's rebuild path.
+        if self.contains(&hash) {
+            // A known program: a live session is a cache hit, an evicted
+            // or quarantined one takes checkout's rebuild path.
             let mut co = self.checkout(&hash).map_err(|e| match e {
                 PoolError::Compile(c) => c,
                 PoolError::UnknownProgram => unreachable!("entry exists"),
             })?;
-            let resident = co.session().resident_estimate();
+            let (cached, resident) = (!co.rebuilt, co.session().resident_estimate());
             self.checkin(co);
             return Ok(RegisterOutcome {
                 hash,
-                cached: false,
+                cached,
                 resident,
             });
         }
-        let session = match self.warm_start(&hash) {
-            Some(session) => session,
-            None => {
-                let session = self.build_session(&sources)?;
-                self.flight(
-                    FlightKind::SessionBuilt,
-                    &hash,
-                    session.resident_estimate() as u64,
-                    0,
-                );
-                self.persist(&session, &hash);
-                session
-            }
-        };
-        self.stats.builds += 1;
+        let session = self.open_session(&hash, &hash, &sources, Some(0))?;
         self.stats.misses += 1;
         let resident = session.resident_estimate();
         let now = self.tick();
@@ -405,40 +372,28 @@ impl SessionPool {
     pub fn checkout(&mut self, hash: &str) -> Result<Checkout, PoolError> {
         let i = self.find(hash).ok_or(PoolError::UnknownProgram)?;
         let now = self.tick();
-        if let Some(session) = self.entries[i].session.take() {
-            self.stats.hits += 1;
-            self.entries[i].last_used = now;
-            return Ok(Checkout {
-                hash: hash.to_string(),
-                content: self.entries[i].content.clone(),
-                session,
-                rebuilt: false,
-            });
-        }
-        let was_quarantined = self.entries[i].quarantined;
-        let content = self.entries[i].content.clone();
-        let session = match self.warm_start(&content) {
-            Some(session) => session,
+        let rebuilt = self.entries[i].session.is_none();
+        let session = match self.entries[i].session.take() {
+            Some(session) => {
+                self.stats.hits += 1;
+                session
+            }
             None => {
-                let session = self
-                    .build_session(&self.entries[i].sources)
-                    .map_err(PoolError::Compile)?;
-                self.flight(
-                    FlightKind::SessionBuilt,
-                    hash,
-                    session.resident_estimate() as u64,
-                    u64::from(was_quarantined),
-                );
-                self.persist(&session, &content);
+                let was_quarantined = self.entries[i].quarantined;
+                let content = self.entries[i].content.clone();
+                let sources = std::mem::take(&mut self.entries[i].sources);
+                let tag = u64::from(was_quarantined);
+                let opened = self.open_session(hash, &content, &sources, Some(tag));
+                self.entries[i].sources = sources;
+                let session = opened.map_err(PoolError::Compile)?;
+                if was_quarantined {
+                    self.stats.rebuilds += 1;
+                } else {
+                    self.stats.misses += 1;
+                }
                 session
             }
         };
-        self.stats.builds += 1;
-        if was_quarantined {
-            self.stats.rebuilds += 1;
-        } else {
-            self.stats.misses += 1;
-        }
         let e = &mut self.entries[i];
         e.quarantined = false;
         e.last_used = now;
@@ -446,7 +401,7 @@ impl SessionPool {
             hash: hash.to_string(),
             content: e.content.clone(),
             session,
-            rebuilt: true,
+            rebuilt,
         })
     }
 
@@ -472,22 +427,16 @@ impl SessionPool {
         let i = self.find(hash).ok_or(PoolError::UnknownProgram)?;
         let content = program_hash(&new_sources);
         let now = self.tick();
-        let session = match self.warm_start(&content) {
-            Some(session) => session,
-            None => {
-                let session = self
-                    .build_session(&new_sources)
-                    .map_err(PoolError::Compile)?;
-                self.persist(&session, &content);
-                session
-            }
-        };
-        self.stats.builds += 1;
+        // A reload records no `session_built` event of its own when it
+        // compiles; its `session_updated` event below stands for it.
+        let session = self
+            .open_session(hash, &content, &new_sources, None)
+            .map_err(PoolError::Compile)?;
         // The on-disk snapshot of the old sources is stale the moment the
         // reload lands.
-        let stale = self.entries[i].content.clone();
-        if stale != content {
-            self.invalidate_snapshot(&stale);
+        let stale = &self.entries[i].content;
+        if let Some(store) = self.store.as_ref().filter(|_| *stale != content) {
+            store.invalidate(stale);
         }
         let resident = session.resident_estimate();
         let e = &mut self.entries[i];
@@ -621,18 +570,13 @@ impl SessionPool {
         let Some(i) = victim else { return false };
         // Persist the victim's forced stages before dropping them, so a
         // later checkout restores instead of recompiling.
-        let session = self.entries[i].session.take();
-        let content = self.entries[i].content.clone();
-        if let Some(s) = &session {
-            self.persist(s, &content);
+        let e = &mut self.entries[i];
+        if let Some(s) = &e.session {
+            persist(self.store.as_ref(), &mut self.stats, s, &e.content);
         }
-        drop(session);
-        let (hash, resident) = {
-            let e = &mut self.entries[i];
-            let r = e.resident;
-            e.resident = 0;
-            (e.hash.clone(), r)
-        };
+        e.session = None;
+        let resident = std::mem::take(&mut e.resident);
+        let hash = e.hash.clone();
         self.stats.evictions += 1;
         self.flight(FlightKind::SessionEvicted, &hash, resident as u64, 0);
         true
@@ -660,6 +604,19 @@ impl SessionPool {
                 return; // only the MRU session left; keep serving it
             }
         }
+    }
+}
+
+/// Best-effort snapshot persistence, counted in `stats`; a declined or
+/// failed save is invisible to the query path.
+fn persist(
+    store: Option<&SnapshotStore>,
+    stats: &mut PoolStats,
+    session: &AnalysisSession,
+    content: &str,
+) {
+    if store.is_some_and(|store| store.save(session, content).is_some()) {
+        stats.snapshot_writes += 1;
     }
 }
 

@@ -1250,6 +1250,172 @@ pub fn validate_stats_doc(v: &Json) -> Result<String, String> {
     ))
 }
 
+/// Renders a parsed `thinslice.serve_stats.v1` document as text, for
+/// `thinslice stats` and the `--stats-interval` ticker alike: a daemon
+/// header line, the per-tenant table, the per-session table, the
+/// slow-query log, and the flight-recorder tail. Missing fields render as
+/// zeros rather than failing — the wire doc was already validated.
+pub fn render_stats(doc: &Json) -> String {
+    fn u(v: &Json, key: &str) -> u64 {
+        v.get(key).and_then(Json::as_u64).unwrap_or(0)
+    }
+    fn f(v: &Json, key: &str) -> f64 {
+        v.get(key).and_then(Json::as_f64).unwrap_or(0.0)
+    }
+    fn s<'a>(v: &'a Json, key: &str) -> &'a str {
+        v.get(key).and_then(Json::as_str).unwrap_or("?")
+    }
+    fn arr<'a>(v: &'a Json, key: &str) -> &'a [Json] {
+        v.get(key).and_then(Json::as_arr).unwrap_or(&[])
+    }
+    /// Exit-memo hit rate in percent, from hit/miss counters on `v`.
+    fn memo_pct(v: &Json) -> f64 {
+        let hits = u(v, "exit_hits");
+        let total = hits + u(v, "exit_misses");
+        if total > 0 {
+            100.0 * hits as f64 / total as f64
+        } else {
+            0.0
+        }
+    }
+    let pool = doc.get("pool");
+    let server = doc.get("server");
+    let pu = |key: &str| pool.map_or(0, |p| u(p, key));
+    let su = |key: &str| server.map_or(0, |p| u(p, key));
+    let mut out = format!(
+        "thinslice-serve up {:.1}s · pool {}/{} sessions ({} quarantined, resident {}) · \
+         served {} errors {} panics {} · recorder {}/{} events\n",
+        u(doc, "uptime_ms") as f64 / 1000.0,
+        pu("live_sessions"),
+        pu("capacity"),
+        pu("quarantined"),
+        pu("resident"),
+        su("served"),
+        su("errors"),
+        su("panics"),
+        su("recorded").min(su("recorder_capacity")),
+        su("recorder_capacity"),
+    );
+    // Warm-start snapshot traffic; an all-zero row (snapshots disabled
+    // or untouched) is omitted to keep the idle header to one line.
+    let (sh, sm, sw, sc) = (
+        pu("snapshot_hits"),
+        pu("snapshot_misses"),
+        pu("snapshot_writes"),
+        pu("snapshot_discarded_corrupt"),
+    );
+    if sh + sm + sw + sc > 0 {
+        let _ = writeln!(
+            out,
+            "snapshots: {sh} restored, {sm} missed, {sw} written, {sc} discarded corrupt"
+        );
+    }
+    let tenants = arr(doc, "tenants");
+    if !tenants.is_empty() {
+        let _ = writeln!(
+            out,
+            "\n{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9} {:>9} {:>9} {:>6}",
+            "CLIENT",
+            "REQ",
+            "ERR",
+            "RETRY",
+            "DEGR",
+            "SHED",
+            "STEPS",
+            "p50us",
+            "p95us",
+            "maxus",
+            "MEMO%"
+        );
+        for t in tenants {
+            let lat = t.get("latency_us");
+            let lf = |key: &str| lat.map_or(0.0, |l| f(l, key));
+            let _ = writeln!(
+                out,
+                "{:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9.0} {:>9.0} {:>9.0} {:>6.1}",
+                s(t, "client"),
+                u(t, "requests"),
+                u(t, "errors"),
+                u(t, "retries"),
+                u(t, "degraded"),
+                u(t, "shed"),
+                u(t, "spent_steps"),
+                lf("p50"),
+                lf("p95"),
+                lf("max"),
+                memo_pct(t),
+            );
+        }
+    }
+    let sessions = arr(doc, "sessions");
+    if !sessions.is_empty() {
+        let _ = writeln!(
+            out,
+            "\n{:<16} {:>5} {:>5} {:>10} {:>6} {:>6} {:>9}",
+            "SESSION", "LIVE", "QUAR", "RESIDENT", "REQ", "MEMO%", "p95us"
+        );
+        for r in sessions {
+            let yes = |key: &str| {
+                if matches!(r.get(key), Some(Json::Bool(true))) {
+                    "yes"
+                } else {
+                    "no"
+                }
+            };
+            let lat = r.get("latency_us");
+            let _ = writeln!(
+                out,
+                "{:<16} {:>5} {:>5} {:>10} {:>6} {:>6.1} {:>9.0}",
+                s(r, "program"),
+                yes("live"),
+                yes("quarantined"),
+                u(r, "resident"),
+                lat.map_or(0, |l| u(l, "count")),
+                memo_pct(r),
+                lat.map_or(0.0, |l| f(l, "p95")),
+            );
+        }
+    }
+    let slow = arr(doc, "slow");
+    if !slow.is_empty() {
+        let _ = writeln!(out, "\nslow queries ({}):", slow.len());
+        for q in slow {
+            let id = q
+                .get("id")
+                .and_then(Json::as_u64)
+                .map_or("null".to_string(), |n| n.to_string());
+            let _ = writeln!(
+                out,
+                "  id={id} client={} {}/{} {} queue {}us exec {}us total {}us spend {}",
+                s(q, "client"),
+                s(q, "kind"),
+                s(q, "engine"),
+                s(q, "completeness"),
+                u(q, "queue_us"),
+                u(q, "exec_us"),
+                u(q, "total_us"),
+                u(q, "spend"),
+            );
+        }
+    }
+    let events = arr(doc, "events");
+    if !events.is_empty() {
+        let _ = writeln!(out, "\nrecent events ({}):", events.len());
+        for e in events {
+            let _ = writeln!(
+                out,
+                "  #{} {} {} a={} b={}",
+                u(e, "seq"),
+                s(e, "kind"),
+                s(e, "label"),
+                u(e, "a"),
+                u(e, "b"),
+            );
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1608,5 +1774,63 @@ mod tests {
             Some("{\"schema\":\"wrong.v1\"}"),
         );
         assert!(validate_response_line(&bad_report).is_err());
+    }
+
+    #[test]
+    fn renders_stats_documents() {
+        let doc = Json::parse(
+            r#"{"schema":"thinslice.serve_stats.v1","uptime_ms":1500,
+                "pool":{"programs":1,"live_sessions":1,"capacity":8,"quarantined":0,
+                        "resident":123,"hits":3,"misses":1,"builds":1,"evictions":0,
+                        "quarantines":0,"rebuilds":0,"reloads":0,
+                        "snapshot_hits":2,"snapshot_misses":1,"snapshot_writes":3,
+                        "snapshot_discarded_corrupt":1},
+                "server":{"served":4,"errors":0,"panics":0,"recorded":6,"recorder_capacity":256},
+                "tenants":[{"client":"alpha","requests":4,"errors":0,"retries":0,"degraded":1,
+                            "shed":0,"spent_steps":900,"exit_hits":3,"exit_misses":1,
+                            "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
+                "sessions":[{"program":"00deadbeef00cafe","content":"00deadbeef00cafe","live":true,"quarantined":false,
+                             "resident":123,"exit_hits":3,"exit_misses":1,
+                             "latency_us":{"count":4,"sum":800,"p50":150,"p95":400,"max":420}}],
+                "slow":[{"id":7,"client":"alpha","program":"00deadbeef00cafe","kind":"thin",
+                         "engine":"ci","admission":"full","completeness":"complete","seeds":1,
+                         "queue_us":10,"exec_us":90,"total_us":100,"spend":200}],
+                "events":[{"seq":0,"kind":"session_built","label":"00deadbeef00cafe",
+                           "a":123,"b":0}]}"#,
+        )
+        .unwrap();
+        // The fixture passes the wire validator, so the renderer is
+        // exercised on exactly the shape a daemon emits.
+        validate_stats_doc(&doc).unwrap();
+        let text = render_stats(&doc);
+        assert!(text.contains("up 1.5s"), "{text}");
+        assert!(text.contains("pool 1/8 sessions"), "{text}");
+        assert!(
+            text.contains("snapshots: 2 restored, 1 missed, 3 written, 1 discarded corrupt"),
+            "{text}"
+        );
+        assert!(text.contains("CLIENT"), "{text}");
+        assert!(text.contains("alpha"), "{text}");
+        assert!(text.contains("75.0"), "memo hit rate: {text}");
+        assert!(text.contains("SESSION"), "{text}");
+        assert!(text.contains("00deadbeef00cafe"), "{text}");
+        assert!(text.contains("slow queries (1):"), "{text}");
+        assert!(text.contains("queue 10us exec 90us total 100us"), "{text}");
+        assert!(text.contains("session_built"), "{text}");
+        // An idle daemon renders just the header line.
+        let idle = Json::parse(
+            r#"{"schema":"thinslice.serve_stats.v1","uptime_ms":0,
+                "pool":{"programs":0,"live_sessions":0,"capacity":8,"quarantined":0,
+                        "resident":0,"hits":0,"misses":0,"builds":0,"evictions":0,
+                        "quarantines":0,"rebuilds":0,"reloads":0,
+                        "snapshot_hits":0,"snapshot_misses":0,"snapshot_writes":0,
+                        "snapshot_discarded_corrupt":0},
+                "server":{"served":0,"errors":0,"panics":0,"recorded":0,"recorder_capacity":256},
+                "tenants":[],"sessions":[],"slow":[],"events":[]}"#,
+        )
+        .unwrap();
+        let text = render_stats(&idle);
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains("served 0 errors 0 panics 0"), "{text}");
     }
 }

@@ -7,13 +7,20 @@
 //! reader thread; `slice` requests are queued and executed by a worker
 //! pool.
 //!
+//! Both transports — one input stream ([`Server::serve`]) and a Unix
+//! socket with a reader thread per connection ([`Server::serve_listener`])
+//! — share one line reader and one lifecycle: spawn the workers, take
+//! requests until intake stops, drain, persist every live session, and
+//! acknowledge the `shutdown` request if one was made.
+//!
 //! Robustness layers, outermost first:
 //!
 //! * **Malformed input** — the reader consumes raw bytes line by line
 //!   (bounded, lossy UTF-8), so garbage, truncated JSON, or oversized
 //!   lines each produce one structured error response and the loop keeps
 //!   reading. Nothing a client sends can disconnect it or panic the
-//!   process.
+//!   process. A failed socket `accept` is retried after a back-off, so
+//!   running out of descriptors does not end the daemon either.
 //! * **Admission control** — under queue pressure the fleet walks the
 //!   PR 2 degradation ladder instead of refusing service: beyond
 //!   `degrade_pending` queued queries, CS requests are answered
@@ -39,21 +46,23 @@
 //! [`FaultInjection`]: thinslice::FaultInjection
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, ErrorKind, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use crate::pool::{PoolConfig, PoolError, SessionPool};
 use crate::protocol::{
-    engine_str, error_line, kind_str, load_line, parse_request, reload_line, shutdown_line,
-    slice_line, stats_line, status_line, Admission, Op, ProgramRef, SliceRequest, SlowQueryRow,
-    SourceFile, StatsSnapshot, StatusSnapshot, TenantRow,
+    engine_str, error_line, kind_str, load_line, parse_request, reload_line, render_stats,
+    shutdown_line, slice_line, stats_doc, stats_line, status_line, Admission, Op, ProgramRef,
+    SliceRequest, SlowQueryRow, SourceFile, StatsSnapshot, StatusSnapshot, TenantRow,
+    MAX_LINE_BYTES,
 };
 use thinslice::{report, Budget, Engine, FaultInjection, Query, QueryPolicy, SliceResult};
 use thinslice_util::govern::Completeness;
-use thinslice_util::telemetry::{FlightKind, FlightRecorder, Histogram, Telemetry};
+use thinslice_util::telemetry::{FlightKind, FlightRecorder, Histogram, Json, Telemetry};
 use thinslice_util::FxHashMap;
 
 /// How many slow queries the log retains (oldest dropped first).
@@ -116,9 +125,10 @@ pub struct ServeConfig {
     /// Emit a `stats` snapshot to stderr every this-many seconds while
     /// serving (the operator's drive-by view; [`None`] disables it).
     pub stats_interval: Option<u64>,
-    /// After an external-signal drain, flush and `exit(0)` instead of
-    /// returning (the CLI sets this; a reader blocked on stdin cannot be
-    /// joined). Never affects EOF or `shutdown`-request paths.
+    /// After a drain the external shutdown flag started, `exit(0)` instead
+    /// of returning (the CLI sets this in stdin mode, where a reader
+    /// blocked on stdin cannot be joined). Runs the flag did not stop are
+    /// unaffected.
     pub exit_on_signal: bool,
 }
 
@@ -223,15 +233,6 @@ struct Sched {
     spent: FxHashMap<String, u64>,
 }
 
-/// What [`Server::ingest`] decided about one request line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ingest {
-    /// Keep reading.
-    Continue,
-    /// A `shutdown` request was accepted: stop reading and drain.
-    Shutdown,
-}
-
 /// The long-lived daemon core. Drivable in-process (the chaos suite
 /// feeds it a byte buffer) or from the CLI over stdin/socket.
 pub struct Server {
@@ -241,7 +242,6 @@ pub struct Server {
     sched: Mutex<Sched>,
     cv: Condvar,
     shutdown: Arc<AtomicBool>,
-    input_done: AtomicBool,
     shutdown_ack: Mutex<Option<Ack>>,
     slice_seq: AtomicU64,
     served: AtomicU64,
@@ -277,7 +277,6 @@ impl Server {
             }),
             cv: Condvar::new(),
             shutdown: Arc::new(AtomicBool::new(false)),
-            input_done: AtomicBool::new(false),
             shutdown_ack: Mutex::new(None),
             slice_seq: AtomicU64::new(0),
             served: AtomicU64::new(0),
@@ -333,24 +332,7 @@ impl Server {
         }
     }
 
-    fn sources_size(sources: &[SourceFile]) -> usize {
-        sources.iter().map(|s| s.name.len() + s.text.len()).sum()
-    }
-
     fn handle_load(&self, id: Option<u64>, sources: Vec<SourceFile>, out: &SharedOut) {
-        let size = Self::sources_size(&sources);
-        if size > self.cfg.max_program_bytes {
-            self.write_err(
-                out,
-                id,
-                "too_large",
-                &format!(
-                    "program is {size} bytes (limit {})",
-                    self.cfg.max_program_bytes
-                ),
-            );
-            return;
-        }
         match self.pool.lock().unwrap().register(sources) {
             Ok(r) => self.write_ok(out, &load_line(id, &r.hash, r.cached, r.resident)),
             Err(e) => self.write_err(out, id, "compile", &e.to_string()),
@@ -368,19 +350,6 @@ impl Server {
         sources: Vec<SourceFile>,
         out: &SharedOut,
     ) {
-        let size = Self::sources_size(&sources);
-        if size > self.cfg.max_program_bytes {
-            self.write_err(
-                out,
-                id,
-                "too_large",
-                &format!(
-                    "program is {size} bytes (limit {})",
-                    self.cfg.max_program_bytes
-                ),
-            );
-            return;
-        }
         match self.pool.lock().unwrap().reload(&program, sources) {
             Ok(r) => self.write_ok(out, &reload_line(id, &r.hash, &r.content, r.resident)),
             Err(PoolError::UnknownProgram) => self.write_err(
@@ -472,69 +441,6 @@ impl Server {
         }
     }
 
-    fn handle_stats(&self, id: Option<u64>, out: &SharedOut) {
-        self.write_ok(out, &stats_line(id, &self.stats_snapshot()));
-    }
-
-    /// A compact human rendering of the current snapshot, for the
-    /// `--stats-interval` stderr ticker.
-    pub fn stats_text(&self) -> String {
-        let s = self.stats_snapshot();
-        let mut out = format!(
-            "thinslice-serve up {:.1}s · pool {}/{} sessions ({} quarantined, resident {}) · \
-             served {} errors {} panics {} · recorder {}/{} events",
-            s.uptime_ms as f64 / 1000.0,
-            s.status.live_sessions,
-            s.status.pool_capacity,
-            s.status.quarantined,
-            s.status.resident,
-            s.status.served,
-            s.status.errors,
-            s.status.panics,
-            s.recorded.min(s.recorder_capacity as u64),
-            s.recorder_capacity,
-        );
-        if !s.tenants.is_empty() {
-            out.push_str(&format!(
-                "\n  {:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9} {:>9} {:>9}",
-                "CLIENT", "REQ", "ERR", "RETRY", "DEGR", "SHED", "STEPS", "p50us", "p95us", "maxus"
-            ));
-            for t in &s.tenants {
-                out.push_str(&format!(
-                    "\n  {:<16} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>9.0} {:>9.0} {:>9.0}",
-                    t.client,
-                    t.requests,
-                    t.errors,
-                    t.retries,
-                    t.degraded,
-                    t.shed,
-                    t.spent_steps,
-                    t.latency_us.p50,
-                    t.latency_us.p95,
-                    t.latency_us.max,
-                ));
-            }
-        }
-        if !s.slow.is_empty() {
-            out.push_str(&format!("\n  slow queries ({}):", s.slow.len()));
-            for q in &s.slow {
-                out.push_str(&format!(
-                    "\n    id={} client={} {}/{} {} queue {}us exec {}us total {}us spend {}",
-                    q.id.map_or("null".to_string(), |n| n.to_string()),
-                    q.client,
-                    q.kind,
-                    q.engine,
-                    q.completeness,
-                    q.queue_us,
-                    q.exec_us,
-                    q.total_us,
-                    q.spend,
-                ));
-            }
-        }
-        out
-    }
-
     fn handle_shutdown(&self, id: Option<u64>, out: &SharedOut) {
         let mut sched = self.sched.lock().unwrap();
         if !sched.accepting {
@@ -554,22 +460,6 @@ impl Server {
     }
 
     fn enqueue_slice(&self, id: Option<u64>, client: String, req: SliceRequest, out: &SharedOut) {
-        if let ProgramRef::Inline(sources) = &req.program {
-            let size = Self::sources_size(sources);
-            if size > self.cfg.max_program_bytes {
-                self.tenant_err(&client);
-                self.write_err(
-                    out,
-                    id,
-                    "too_large",
-                    &format!(
-                        "program is {size} bytes (limit {})",
-                        self.cfg.max_program_bytes
-                    ),
-                );
-                return;
-            }
-        }
         let mut chaos_panics = req.chaos_panics;
         if chaos_panics > 0 && !self.cfg.chaos {
             self.tenant_err(&client);
@@ -617,39 +507,39 @@ impl Server {
 
     /// Handles one request line: synchronous ops are answered in place,
     /// slice queries are queued for the workers. Total over arbitrary
-    /// input — every failure is a structured error response.
-    pub fn ingest(&self, line: &str, out: &SharedOut) -> Ingest {
-        match parse_request(line) {
-            Err(e) => {
-                self.write_err(out, e.id, e.code, &e.message);
-                Ingest::Continue
+    /// input — every failure is a structured error response. A `shutdown`
+    /// request closes the scheduler, which stops every reader.
+    pub fn ingest(&self, line: &str, out: &SharedOut) {
+        let req = match parse_request(line) {
+            Ok(req) => req,
+            Err(e) => return self.write_err(out, e.id, e.code, &e.message),
+        };
+        // Every op that carries sources is refused here, before it
+        // reaches the pool; only a refused slice counts against its tenant.
+        let sources = match &req.op {
+            Op::Load { sources } | Op::Reload { sources, .. } => sources.as_slice(),
+            Op::Slice(SliceRequest {
+                program: ProgramRef::Inline(sources),
+                ..
+            }) => sources.as_slice(),
+            _ => &[],
+        };
+        let size: usize = sources.iter().map(|s| s.name.len() + s.text.len()).sum();
+        if size > self.cfg.max_program_bytes {
+            let limit = self.cfg.max_program_bytes;
+            let msg = format!("program is {size} bytes (limit {limit})");
+            if matches!(req.op, Op::Slice(_)) {
+                self.tenant_err(&req.client);
             }
-            Ok(req) => match req.op {
-                Op::Load { sources } => {
-                    self.handle_load(req.id, sources, out);
-                    Ingest::Continue
-                }
-                Op::Reload { program, sources } => {
-                    self.handle_reload(req.id, program, sources, out);
-                    Ingest::Continue
-                }
-                Op::Status => {
-                    self.handle_status(req.id, out);
-                    Ingest::Continue
-                }
-                Op::Stats => {
-                    self.handle_stats(req.id, out);
-                    Ingest::Continue
-                }
-                Op::Shutdown => {
-                    self.handle_shutdown(req.id, out);
-                    Ingest::Shutdown
-                }
-                Op::Slice(sr) => {
-                    self.enqueue_slice(req.id, req.client, sr, out);
-                    Ingest::Continue
-                }
-            },
+            return self.write_err(out, req.id, "too_large", &msg);
+        }
+        match req.op {
+            Op::Load { sources } => self.handle_load(req.id, sources, out),
+            Op::Reload { program, sources } => self.handle_reload(req.id, program, sources, out),
+            Op::Status => self.handle_status(req.id, out),
+            Op::Stats => self.write_ok(out, &stats_line(req.id, &self.stats_snapshot())),
+            Op::Shutdown => self.handle_shutdown(req.id, out),
+            Op::Slice(sr) => self.enqueue_slice(req.id, req.client, sr, out),
         }
     }
 
@@ -960,9 +850,10 @@ impl Server {
         Ok((slice, engine, stmts, spend))
     }
 
-    /// Emits the `--stats-interval` stderr snapshot when one is due.
-    /// Costs a clock read per loop tick when disabled or not yet due —
-    /// the zero-overhead-when-idle invariant in practice.
+    /// Emits the `--stats-interval` stderr snapshot when one is due,
+    /// rendered exactly as `thinslice stats` renders it. Costs a clock read
+    /// per loop tick when disabled or not yet due — the
+    /// zero-overhead-when-idle invariant in practice.
     fn stats_tick(&self, last: &mut Instant) {
         let Some(secs) = self.cfg.stats_interval else {
             return;
@@ -971,7 +862,9 @@ impl Server {
             return;
         }
         *last = Instant::now();
-        eprintln!("{}", self.stats_text());
+        let doc = Json::parse(&stats_doc(&self.stats_snapshot()))
+            .expect("stats_doc writes well-formed JSON");
+        eprint!("{}", render_stats(&doc));
     }
 
     fn begin_drain(&self) {
@@ -994,55 +887,45 @@ impl Server {
         }
     }
 
-    /// Runs the daemon over one input stream until EOF, a `shutdown`
-    /// request, or the external [`Server::shutdown_flag`]. All three
-    /// paths stop intake, drain every queued and in-flight query (each
-    /// still receives its response), then return the run's summary —
-    /// after writing the `shutdown` acknowledgement when one is owed.
-    pub fn serve<R: BufRead + Send>(&self, input: R, out: SharedOut) -> ServeSummary {
+    /// Whether intake has stopped: the external shutdown flag is set, or
+    /// the scheduler was closed by a `shutdown` request or the end of the
+    /// stdin input.
+    fn intake_stopped(&self) -> bool {
+        self.shutdown.load(Ordering::Relaxed) || !self.sched.lock().unwrap().accepting
+    }
+
+    /// The lifecycle both transports share: spawn the workers and `start`
+    /// the transport, run `step` until intake stops (ticking the stats
+    /// snapshot between steps; a step returns within about 25 ms, which
+    /// bounds how long a signal waits), then drain, persist every live
+    /// session for a warm restart, and acknowledge an owed `shutdown`.
+    fn run<'env>(
+        &'env self,
+        start: impl for<'s> FnOnce(&'s Scope<'s, 'env>),
+        mut step: impl for<'s> FnMut(&'s Scope<'s, 'env>),
+    ) -> ServeSummary {
         std::thread::scope(|scope| {
             for _ in 0..self.cfg.workers.max(1) {
                 scope.spawn(|| self.worker_loop());
             }
-            {
-                let out = out.clone();
-                scope.spawn(move || {
-                    self.reader_loop(input, &out);
-                    self.input_done.store(true, Ordering::Relaxed);
-                    self.cv.notify_all();
-                });
-            }
-            // Wait for the input to end or the signal flag; the timeout
-            // bounds how long a signal waits behind a blocked read.
+            start(scope);
             let mut last_snapshot = Instant::now();
-            loop {
-                let sched = self.sched.lock().unwrap();
-                if self.input_done.load(Ordering::Relaxed) || self.shutdown.load(Ordering::Relaxed)
-                {
-                    break;
-                }
-                let _ = self
-                    .cv
-                    .wait_timeout(sched, Duration::from_millis(25))
-                    .unwrap();
+            while !self.intake_stopped() {
                 self.stats_tick(&mut last_snapshot);
+                step(scope);
             }
-            let signalled =
-                self.shutdown.load(Ordering::Relaxed) && !self.input_done.load(Ordering::Relaxed);
+            let signalled = self.shutdown.load(Ordering::Relaxed);
             self.begin_drain();
             self.wait_drained();
-            // Persist every live session so a restarted daemon
-            // warm-starts with all forced stages intact.
             self.pool.lock().unwrap().persist_all();
             if let Some(ack) = self.shutdown_ack.lock().unwrap().take() {
                 self.write_ok(&ack.out, &shutdown_line(ack.id, ack.drained));
             }
             let summary = self.summary();
             if signalled && self.cfg.exit_on_signal {
-                // The reader thread may be blocked on stdin forever; the
-                // scope could never join it. Everything is drained and
-                // flushed, so exiting the process is the clean option.
-                let _ = out.lock().unwrap().flush();
+                // A reader blocked on stdin could never be joined. Every
+                // query is drained and every response line was flushed as
+                // it was written, so exiting the process is the clean option.
                 eprintln!(
                     "thinslice-serve: signal received; drained in-flight queries \
                      (served {}, errors {}, panics {}); exiting",
@@ -1054,183 +937,126 @@ impl Server {
         })
     }
 
+    /// Runs the daemon over one input stream until EOF, a `shutdown`
+    /// request, or the external [`Server::shutdown_flag`]. All three
+    /// paths stop intake, drain every queued and in-flight query (each
+    /// still receives its response), then return the run's summary —
+    /// after writing the `shutdown` acknowledgement when one is owed.
+    pub fn serve<R: BufRead + Send>(&self, input: R, out: SharedOut) -> ServeSummary {
+        self.run(
+            |scope| {
+                scope.spawn(move || {
+                    self.read_lines(input, &out);
+                    self.begin_drain();
+                });
+            },
+            // The reader may block in a read indefinitely, so this thread
+            // waits beside it and keeps the signal flag and ticker served.
+            |_| {
+                let sched = self.sched.lock().unwrap();
+                let _ = self
+                    .cv
+                    .wait_timeout(sched, Duration::from_millis(25))
+                    .unwrap();
+            },
+        )
+    }
+
     /// Serves a Unix-domain socket: each accepted connection gets its own
     /// reader thread and writes responses back on that connection, while
     /// all connections share the worker pool, session pool, and admission
     /// state. A `shutdown` request from any client — or the external
     /// [`Server::shutdown_flag`] — stops intake on every connection,
-    /// drains, acknowledges, and returns.
+    /// drains, acknowledges, and returns. A failed `accept` (say, EMFILE
+    /// while every descriptor is in use) is retried after a back-off; it
+    /// never ends the daemon.
     #[cfg(unix)]
     pub fn serve_listener(&self, listener: std::os::unix::net::UnixListener) -> ServeSummary {
-        // Non-blocking accept so the loop can observe the shutdown flag.
+        // Non-blocking accept so the loop can observe the stop condition.
         let _ = listener.set_nonblocking(true);
-        std::thread::scope(|scope| {
-            for _ in 0..self.cfg.workers.max(1) {
-                scope.spawn(|| self.worker_loop());
-            }
-            let mut last_snapshot = Instant::now();
-            loop {
-                if self.shutdown.load(Ordering::Relaxed) || !self.sched.lock().unwrap().accepting {
-                    break;
+        self.run(
+            |_| {},
+            |scope| match listener.accept() {
+                Ok((stream, _)) => {
+                    scope.spawn(move || self.serve_conn(stream));
                 }
-                self.stats_tick(&mut last_snapshot);
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let out: SharedOut = match stream.try_clone() {
-                            Ok(w) => Arc::new(Mutex::new(w)),
-                            Err(_) => continue,
-                        };
-                        scope.spawn(move || self.conn_loop(stream, &out));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(_) => break,
-                }
-            }
-            self.begin_drain();
-            self.wait_drained();
-            self.pool.lock().unwrap().persist_all();
-            if let Some(ack) = self.shutdown_ack.lock().unwrap().take() {
-                self.write_ok(&ack.out, &shutdown_line(ack.id, ack.drained));
-            }
-            self.summary()
-        })
+                Err(_) => std::thread::sleep(Duration::from_millis(25)),
+            },
+        )
     }
 
-    /// One socket connection's read loop: bounded lines, lossy UTF-8,
-    /// oversized lines discarded after a structured error. Reads carry a
-    /// short timeout so the loop can notice a daemon-wide drain even
-    /// while its client is idle.
+    /// Serves one socket connection through [`Server::read_lines`],
+    /// answering on the same stream. Reads carry a short timeout so the
+    /// reader notices a daemon-wide drain even while its client is idle.
     #[cfg(unix)]
-    fn conn_loop(&self, stream: std::os::unix::net::UnixStream, out: &SharedOut) {
-        use crate::protocol::MAX_LINE_BYTES;
+    fn serve_conn(&self, stream: std::os::unix::net::UnixStream) {
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-        let mut reader = std::io::BufReader::new(stream);
-        let mut buf: Vec<u8> = Vec::new();
+        let Ok(writer) = stream.try_clone() else {
+            return;
+        };
+        self.read_lines(std::io::BufReader::new(stream), &shared_out(writer));
+    }
+
+    /// Reads request lines from either transport and ingests each, until
+    /// EOF, a `shutdown` request, an unrecoverable read error, or intake
+    /// stopping elsewhere. Lines are bounded by [`MAX_LINE_BYTES`]: an
+    /// oversized line gets one `too_large` error and the rest of it is
+    /// discarded without being buffered. Bytes are decoded as lossy UTF-8,
+    /// so invalid UTF-8 becomes a `parse` error response. A read that
+    /// would block or timed out only re-checks the stop condition. A final
+    /// line without a newline is still answered at EOF.
+    fn read_lines<R: BufRead>(&self, mut input: R, out: &SharedOut) {
+        let mut line: Vec<u8> = Vec::new();
         let mut skipping = false; // discarding the rest of an oversized line
         loop {
-            if self.shutdown.load(Ordering::Relaxed) || !self.sched.lock().unwrap().accepting {
+            if self.intake_stopped() {
                 return;
             }
-            let (consumed, line_end) = {
-                let chunk = match reader.fill_buf() {
-                    Ok([]) => return, // client disconnected
-                    Ok(c) => c,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock
-                                | std::io::ErrorKind::TimedOut
-                                | std::io::ErrorKind::Interrupted
-                        ) =>
-                    {
-                        continue;
+            let (line_end, eof) = match input.fill_buf() {
+                Ok([]) => (true, true),
+                Ok(chunk) => {
+                    let (len, end) = match chunk.iter().position(|&b| b == b'\n') {
+                        Some(pos) => (pos, true),
+                        None => (chunk.len(), false),
+                    };
+                    if !skipping {
+                        line.extend_from_slice(&chunk[..len]);
                     }
-                    Err(_) => return,
-                };
-                let (consumed, line_end) = match chunk.iter().position(|&b| b == b'\n') {
-                    Some(pos) => (pos + 1, true),
-                    None => (chunk.len(), false),
-                };
-                if !skipping {
-                    buf.extend_from_slice(&chunk[..consumed]);
+                    input.consume(len + usize::from(end));
+                    (end, false)
                 }
-                (consumed, line_end)
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                    ) =>
+                {
+                    continue;
+                }
+                Err(_) => return,
             };
-            reader.consume(consumed);
-            if !line_end {
-                if !skipping && buf.len() > MAX_LINE_BYTES {
-                    self.write_err(
-                        out,
-                        None,
-                        "too_large",
-                        &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                    );
-                    buf.clear();
-                    skipping = true;
-                }
-                continue;
-            }
-            if skipping {
-                skipping = false;
-                continue;
-            }
-            if buf.len().saturating_sub(1) > MAX_LINE_BYTES {
+            if !skipping && line.len() > MAX_LINE_BYTES {
                 self.write_err(
                     out,
                     None,
                     "too_large",
                     &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
                 );
-                buf.clear();
-                continue;
-            }
-            let stop = {
-                let text = String::from_utf8_lossy(&buf);
-                let line = text.trim_end_matches(['\n', '\r']);
-                !line.trim().is_empty() && self.ingest(line, out) == Ingest::Shutdown
-            };
-            buf.clear();
-            if stop {
-                return;
-            }
-        }
-    }
-
-    /// Reads raw bytes line by line (bounded, lossy UTF-8) and ingests
-    /// each. Oversized lines are answered and skipped without being
-    /// buffered whole; invalid UTF-8 becomes a parse error response.
-    fn reader_loop<R: BufRead>(&self, mut input: R, out: &SharedOut) {
-        use crate::protocol::MAX_LINE_BYTES;
-        let mut buf: Vec<u8> = Vec::new();
-        loop {
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            buf.clear();
-            let mut limited = (&mut input).take((MAX_LINE_BYTES + 1) as u64);
-            match limited.read_until(b'\n', &mut buf) {
-                Ok(0) => return, // EOF
-                Ok(_) => {
-                    let hit_cap = buf.len() > MAX_LINE_BYTES
-                        || (buf.len() == MAX_LINE_BYTES + 1 && buf.last() != Some(&b'\n'));
-                    if hit_cap && buf.last() != Some(&b'\n') {
-                        self.write_err(
-                            out,
-                            None,
-                            "too_large",
-                            &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-                        );
-                        if !skip_to_newline(&mut input) {
-                            return;
-                        }
-                        continue;
-                    }
-                    let text = String::from_utf8_lossy(&buf);
-                    let line = text.trim_end_matches(['\n', '\r']);
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if let Ingest::Shutdown = self.ingest(line, out) {
-                        return;
-                    }
+                line.clear();
+                skipping = !line_end;
+            } else if line_end {
+                skipping = false;
+                let text = String::from_utf8_lossy(&line);
+                let text = text.trim_end_matches('\r');
+                if !text.trim().is_empty() {
+                    self.ingest(text, out);
                 }
-                Err(_) => return, // unrecoverable I/O error on the stream
+                line.clear();
             }
-        }
-    }
-}
-
-/// Discards input up to and including the next newline; `false` on EOF.
-fn skip_to_newline<R: BufRead>(input: &mut R) -> bool {
-    let mut byte = [0u8; 1];
-    loop {
-        match input.read(&mut byte) {
-            Ok(0) | Err(_) => return false,
-            Ok(_) if byte[0] == b'\n' => return true,
-            Ok(_) => {}
+            if eof {
+                return;
+            }
         }
     }
 }

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 
 use thinslice::FaultInjection;
 use thinslice_serve::pool::PoolConfig;
-use thinslice_serve::protocol::validate_response_line;
+use thinslice_serve::protocol::{validate_response_line, MAX_LINE_BYTES};
 use thinslice_serve::{ServeConfig, ServeSummary, Server};
 use thinslice_util::telemetry::Json;
 
@@ -38,11 +38,20 @@ impl Write for Sink {
 /// Runs one scripted server session; returns (response lines, summary).
 /// Every response line is schema-validated on the way out.
 fn run_script(cfg: ServeConfig, script: &[String]) -> (Vec<String>, ServeSummary) {
+    run_bytes(cfg, (script.join("\n") + "\n").into_bytes())
+}
+
+/// [`run_script`] over raw input bytes, which need not be UTF-8.
+fn run_bytes(cfg: ServeConfig, input: Vec<u8>) -> (Vec<String>, ServeSummary) {
     let sink = Sink::default();
     let out: thinslice_serve::SharedOut = Arc::new(Mutex::new(sink.clone()));
     let server = Server::new(cfg);
-    let input = script.join("\n") + "\n";
-    let summary = server.serve(Cursor::new(input.into_bytes()), out);
+    let summary = server.serve(Cursor::new(input), out);
+    (responses(&sink), summary)
+}
+
+/// The response lines a run wrote, each schema-validated.
+fn responses(sink: &Sink) -> Vec<String> {
     let bytes = sink.0.lock().unwrap().clone();
     let lines: Vec<String> = String::from_utf8(bytes)
         .expect("responses are UTF-8")
@@ -52,7 +61,7 @@ fn run_script(cfg: ServeConfig, script: &[String]) -> (Vec<String>, ServeSummary
     for line in &lines {
         validate_response_line(line).unwrap_or_else(|e| panic!("invalid response {line:?}: {e}"));
     }
-    (lines, summary)
+    lines
 }
 
 /// Feeds a script one line at a time, yielding line N+1 only once N
@@ -112,16 +121,7 @@ fn run_script_lockstep(cfg: ServeConfig, script: &[String]) -> (Vec<String>, Ser
         pending: Vec::new(),
     };
     let summary = server.serve(std::io::BufReader::new(input), out);
-    let bytes = sink.0.lock().unwrap().clone();
-    let lines: Vec<String> = String::from_utf8(bytes)
-        .expect("responses are UTF-8")
-        .lines()
-        .map(str::to_string)
-        .collect();
-    for line in &lines {
-        validate_response_line(line).unwrap_or_else(|e| panic!("invalid response {line:?}: {e}"));
-    }
-    (lines, summary)
+    (responses(&sink), summary)
 }
 
 /// Indexes responses by id (every scripted request carries a unique id).
@@ -383,6 +383,79 @@ fn oversized_programs_are_refused_structurally() {
         Json::Bool(true),
         "small programs still served"
     );
+}
+
+#[test]
+fn oversized_and_non_utf8_lines_get_one_error_each() {
+    let mut input = vec![b'x'; MAX_LINE_BYTES + 1];
+    input.extend_from_slice(b"\n{\"op\":\xff}\n");
+    for line in [load(1, 1), slice(2, 1, 4, ""), shutdown(3)] {
+        input.extend_from_slice(line.as_bytes());
+        input.push(b'\n');
+    }
+    let (lines, summary) = run_bytes(ServeConfig::default(), input);
+    let errors: Vec<Json> = lines.iter().map(|l| field(l, "error")).collect();
+    let codes: Vec<_> = errors.iter().filter_map(|e| e.get("code")).collect();
+    assert_eq!(
+        codes,
+        [&Json::Str("too_large".into()), &Json::Str("parse".into())]
+    );
+    assert_eq!(field(&by_id(&lines)[&2], "ok"), Json::Bool(true));
+    assert_eq!((summary.errors, summary.served), (2, 3));
+}
+
+/// Two socket connections on one pool: an oversized line costs its
+/// connection one error and nothing more, a program loaded on one
+/// connection is sliced by hash on the other, and a `shutdown` on one
+/// drains and closes both.
+#[cfg(unix)]
+#[test]
+fn socket_connections_share_one_pool_and_one_drain() {
+    use std::io::{BufRead, BufReader};
+    use std::os::unix::net::{UnixListener, UnixStream};
+    let dir = snap_dir("listener");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = format!("{dir}/daemon.sock");
+    let listener = UnixListener::bind(&path).unwrap();
+    let server = Server::new(ServeConfig::default());
+    std::thread::scope(|s| {
+        let daemon = s.spawn(|| server.serve_listener(listener));
+        let connect = || {
+            let c = UnixStream::connect(&path).unwrap();
+            c.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+                .unwrap();
+            (c.try_clone().unwrap(), BufReader::new(c))
+        };
+        let ask = |(w, r): &mut (UnixStream, BufReader<UnixStream>), req: &[u8]| {
+            w.write_all(req).unwrap();
+            let mut line = String::new();
+            r.read_line(&mut line).unwrap();
+            line
+        };
+        let (mut a, mut b) = (connect(), connect());
+        let mut big = vec![b'x'; MAX_LINE_BYTES + 1];
+        big.push(b'\n');
+        let refused = field(&ask(&mut a, &big), "error");
+        assert_eq!(refused.get("code"), Some(&Json::Str("too_large".into())));
+        let loaded = ask(&mut a, format!("{}\n", load(1, 1)).as_bytes());
+        let hash = field(&loaded, "program");
+        let by_hash = format!(
+            "{{\"op\":\"slice\",\"id\":2,\"program\":\"{}\",\"seed\":{{\"file\":\"p1.mj\",\"line\":4}}}}\n",
+            hash.as_str().unwrap()
+        );
+        assert_eq!(
+            field(&ask(&mut b, by_hash.as_bytes()), "ok"),
+            Json::Bool(true)
+        );
+        let ack = ask(&mut a, format!("{}\n", shutdown(3)).as_bytes());
+        assert_eq!(field(&ack, "op"), Json::Str("shutdown".into()));
+        for conn in [&mut a, &mut b] {
+            assert_eq!(ask(conn, b""), "", "the drain closes every connection");
+        }
+        let summary = daemon.join().unwrap();
+        assert_eq!((summary.errors, summary.served), (1, 3));
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
